@@ -35,12 +35,13 @@ Out run(int payload_bytes, double seconds) {
 
   SocketOptions opts;
   opts.mss_bytes = payload_bytes;
-  opts.loss_injection = pkt_loss;
-  opts.loss_seed = 11;
+  // Each end drops from its own seeded stream.
+  opts.faults = make_loss_injector(pkt_loss, 11, kHeaderBytes + 16);
   auto listener = Socket::listen(0, opts);
   auto accepted = std::async(std::launch::async, [&] {
     return listener->accept(std::chrono::seconds{5});
   });
+  opts.faults = make_loss_injector(pkt_loss, 11, kHeaderBytes + 16);
   auto client = Socket::connect("127.0.0.1", listener->local_port(), opts);
   auto server = accepted.get();
   if (!client || !server) return {0.0, 0};

@@ -4,11 +4,10 @@
 // concurrency — UDT targets a small number of bulk sources, §3.6).
 //
 // On top of the simulated sweep, a real-socket section measures the
-// loopback stack as the flow count grows, in both connection modes: the
-// multiplexed default (all flows share one UDP port and one pair of service
-// threads per endpoint) and the legacy exclusive-port mode (two dedicated
-// threads per socket).  The paper's §3.6 concern — per-connection cost
-// limits concurrency — is exactly what the multiplexer removes.
+// loopback stack as the flow count grows: all flows share one UDP port and
+// a fixed set of service threads per endpoint.  The paper's §3.6 concern —
+// per-connection cost limits concurrency — is exactly what the multiplexer
+// removes.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -62,15 +61,13 @@ struct RealRun {
 // `flows` loopback connections, every client buffering one payload and the
 // server side drained from a single Poller loop; both endpoints live in
 // this process, so `threads` counts the service cost of BOTH sides.
-RealRun run_real(int flows, bool exclusive, std::size_t total_bytes,
-                 int mux_shards = 0) {
+RealRun run_real(int flows, std::size_t total_bytes, int mux_shards = 0) {
   using namespace udtr::udt;
   RealRun out;
   const std::size_t per_flow = std::clamp<std::size_t>(
       total_bytes / static_cast<std::size_t>(flows), 64 << 10, 4 << 20);
 
   SocketOptions opts;
-  opts.exclusive_port = exclusive;
   opts.mux_shards = mux_shards;
   opts.snd_buffer_bytes = per_flow;  // send() returns once buffered
   opts.rcv_buffer_pkts = 256;
@@ -133,29 +130,21 @@ RealRun run_real(int flows, bool exclusive, std::size_t total_bytes,
 
 // Idle-fleet timer cost: `flows` established-but-silent connections, and
 // the number of per-socket timer sweeps the server-side multiplexer runs
-// over a one-second window.  The legacy full walk (UDTR_FULL_SWEEP=1)
-// sweeps every socket every millisecond; the timer wheel only fires the
-// entries actually due, so idle sockets park at EXP cadence.
+// over a one-second window.  An every-socket walk would sweep each socket
+// every millisecond (1000/s); the timer wheel only fires the entries
+// actually due, so idle sockets park at EXP cadence.
 struct IdleSweepRun {
   double sweeps_per_sock_per_s = 0.0;
   bool ok = false;
 };
 
-IdleSweepRun run_idle_sweep(int flows, bool full_walk) {
+IdleSweepRun run_idle_sweep(int flows) {
   using namespace udtr::udt;
   IdleSweepRun out;
-  // The sweep mode is read when the multiplexer opens, and a distinct syn_s
-  // per mode keeps for_client() from reusing a multiplexer opened under the
-  // other mode.
-  if (full_walk) {
-    ::setenv("UDTR_FULL_SWEEP", "1", 1);
-  } else {
-    ::unsetenv("UDTR_FULL_SWEEP");
-  }
   SocketOptions opts;
   opts.snd_buffer_bytes = 64 << 10;
   opts.rcv_buffer_pkts = 128;
-  opts.syn_s = full_walk ? 0.0101 : 0.0102;
+  opts.syn_s = 0.0102;
   {
     auto listener = Socket::listen(0, opts);
     if (!listener) return out;
@@ -189,7 +178,6 @@ IdleSweepRun run_idle_sweep(int flows, bool full_walk) {
         static_cast<double>(swept) / flows / window;
     out.ok = true;
   }
-  ::unsetenv("UDTR_FULL_SWEEP");
   return out;
 }
 
@@ -237,25 +225,17 @@ int main(int argc, char** argv) {
               "aggregate utilization stays high; UDT is not designed for "
               "high-concurrency regimes.\n");
 
-  // --- real loopback sockets: multiplexed vs per-socket threads ----------
+  // --- real loopback sockets on the multiplexer --------------------------
   const std::size_t total_bytes =
       scale.full ? (std::size_t{128} << 20) : (std::size_t{32} << 20);
   const std::vector<int> real_flows = {1, 8, 64, 512};
-  // The legacy mode spends two threads (and one UDP port) per socket on
-  // each side; 512 flows would need 2048 service threads in this process,
-  // so its sweep stops at 64 — which is itself the point of the figure.
-  const int exclusive_cap = 64;
 
   std::printf("\nreal loopback sockets (%zu MB aggregate per run):\n",
               total_bytes >> 20);
-  std::printf("%8s %12s %22s %22s\n", "", "", "multiplexed", "exclusive-port");
-  std::printf("%8s %12s %9s %7s %4s %9s %7s %4s\n", "#flows", "", "Mb/s",
-              "cpu%", "thr", "Mb/s", "cpu%", "thr");
+  std::printf("%8s %12s %9s %7s %4s\n", "#flows", "", "Mb/s", "cpu%", "thr");
   std::vector<std::pair<std::string, double>> json;
   for (const int n : real_flows) {
-    const RealRun mux = run_real(n, /*exclusive=*/false, total_bytes);
-    RealRun excl;
-    if (n <= exclusive_cap) excl = run_real(n, /*exclusive=*/true, total_bytes);
+    const RealRun mux = run_real(n, total_bytes);
     std::printf("%8d %12s", n, "");
     if (mux.ok) {
       std::printf(" %9.0f %6.0f%% %4d", mux.goodput_mbps, mux.cpu_percent,
@@ -269,23 +249,10 @@ int main(int argc, char** argv) {
     } else {
       std::printf(" %9s %7s %4s", "FAIL", "-", "-");
     }
-    if (excl.ok) {
-      std::printf(" %9.0f %6.0f%% %4d", excl.goodput_mbps, excl.cpu_percent,
-                  excl.threads);
-      json.emplace_back("fig3_real_goodput_mbps_excl_" + std::to_string(n),
-                        excl.goodput_mbps);
-      json.emplace_back("fig3_real_cpu_pct_excl_" + std::to_string(n),
-                        excl.cpu_percent);
-      json.emplace_back("fig3_real_threads_excl_" + std::to_string(n),
-                        excl.threads);
-    } else {
-      std::printf(" %9s %7s %4s", n > exclusive_cap ? "skip" : "FAIL", "-",
-                  "-");
-    }
     std::printf("\n");
   }
-  std::printf("multiplexed flows share 4 service threads total (2 per "
-              "endpoint); exclusive-port spends 4 per connection.\n");
+  std::printf("the service thread count is fixed per endpoint (one rx/tx "
+              "pair per shard), independent of #flows.\n");
 
   // --- shard sweep: the same fleet over 1 / 2 / 4 datapath shards --------
   // Each shard adds an rx/tx thread pair, its own reuseport fd and timer
@@ -301,7 +268,7 @@ int main(int argc, char** argv) {
               "thr");
   for (const int n : shard_flows) {
     for (const int s : shard_counts) {
-      const RealRun r = run_real(n, /*exclusive=*/false, total_bytes, s);
+      const RealRun r = run_real(n, total_bytes, s);
       std::printf("%8d %10d", n, s);
       if (r.ok) {
         std::printf(" %9.0f %6.0f%% %4d\n", r.goodput_mbps, r.cpu_percent,
@@ -317,22 +284,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- idle timer cost: timing wheel vs the legacy every-socket walk -----
+  // --- idle timer cost on the timing wheel -------------------------------
   const int idle_flows = scale.full ? 256 : 64;
-  const IdleSweepRun wheel = run_idle_sweep(idle_flows, /*full_walk=*/false);
-  const IdleSweepRun walk = run_idle_sweep(idle_flows, /*full_walk=*/true);
+  const IdleSweepRun wheel = run_idle_sweep(idle_flows);
   std::printf("\nidle timer sweeps (%d silent flows, per socket per "
               "second):\n", idle_flows);
-  if (wheel.ok && walk.ok) {
-    std::printf("%16s %10.1f\n%16s %10.1f   (%.0fx fewer)\n", "timer wheel",
-                wheel.sweeps_per_sock_per_s, "full walk",
-                walk.sweeps_per_sock_per_s,
-                walk.sweeps_per_sock_per_s /
-                    std::max(wheel.sweeps_per_sock_per_s, 1e-9));
+  if (wheel.ok) {
+    std::printf("%16s %10.1f   (an every-socket walk would be 1000)\n",
+                "timer wheel", wheel.sweeps_per_sock_per_s);
     json.emplace_back("fig3_idle_sweeps_per_sock_wheel",
                       wheel.sweeps_per_sock_per_s);
-    json.emplace_back("fig3_idle_sweeps_per_sock_fullwalk",
-                      walk.sweeps_per_sock_per_s);
   } else {
     std::printf("  FAIL\n");
   }

@@ -34,14 +34,20 @@ int main(int argc, char** argv) {
 
   SocketOptions opts;
   opts.mss_bytes = mss;
-  opts.loss_injection = loss;
   opts.max_bandwidth_mbps = cap_mbps;
+  // --loss drops that fraction of each end's outbound data packets, each
+  // end from its own seeded stream.
+  const auto with_loss = [&](SocketOptions o) {
+    if (loss > 0.0) o.faults = make_loss_injector(loss, 1, kHeaderBytes + 16);
+    return o;
+  };
 
-  auto listener = Socket::listen(0, opts);
+  auto listener = Socket::listen(0, with_loss(opts));
   auto accepted = std::async(std::launch::async, [&] {
     return listener->accept(std::chrono::seconds{5});
   });
-  auto client = Socket::connect("127.0.0.1", listener->local_port(), opts);
+  auto client =
+      Socket::connect("127.0.0.1", listener->local_port(), with_loss(opts));
   auto server = accepted.get();
   if (!client || !server) {
     std::fprintf(stderr, "connection failed\n");

@@ -13,10 +13,10 @@
 // the slot of an arrival is computed from its sequence number, out-of-order
 // data lands directly at its destination offset — the "speculation of next
 // packet" technique costs nothing here beyond the ring addressing.  A slot
-// either owns a copied payload (legacy path) or *references* a RecvSlab slot
-// the datagram was received into, in which case the buffer holds a slab
-// reference until the reader drains it — that is what makes the receive path
-// copy-once.  The buffer also supports *user-buffer insertion* (overlapped
+// either owns a copied payload (slab-starved fallback) or *references* the
+// RecvSlab slot the datagram was received into, in which case the buffer
+// holds a slab reference until the reader drains it — that is what makes the
+// receive path copy-once.  The buffer also supports *user-buffer insertion* (overlapped
 // IO): a reader may register its own buffer as a logical extension of the
 // protocol buffer, and in-order arrivals are then copied directly into
 // application memory, skipping the protocol-buffer staging copy.

@@ -138,7 +138,7 @@ struct UringEngine::Impl {
   };
   std::vector<RxBuf> rxb;
   std::shared_ptr<RecvSlab> slab;      // kept alive for the ring's lifetime
-  std::vector<std::uint8_t> rx_arena;  // slab-less (exclusive test) storage
+  std::vector<std::uint8_t> rx_arena;  // storage when driven without a slab
   std::size_t rx_slot_bytes = 0;       // provided size, kRxHdr included
   bool rx_init = false;
   // Multishot refused at runtime: revert to mmsg rx.  Atomic because the

@@ -138,8 +138,9 @@ class FaultInjector {
       outage_;
 };
 
-// Convenience: the legacy experiment knob — drop a fraction of outbound
-// data-sized datagrams, control traffic untouched.
+// Drop-only loss profile: drop a fraction of outbound data-sized datagrams
+// (>= data_min_bytes), control traffic untouched.  Sockets pass
+// kHeaderBytes + 16 so ACK-sized and shorter control packets survive.
 [[nodiscard]] std::shared_ptr<FaultInjector> make_loss_injector(
     double drop_p, std::uint64_t seed, std::size_t data_min_bytes = 32);
 

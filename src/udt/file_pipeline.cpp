@@ -418,7 +418,7 @@ bool FileSink::finish(bool create_if_empty) {
     if (::close(fd_) != 0) io_error_ = true;
     fd_ = -1;
   } else if (create_if_empty && !io_error_) {
-    // Clean zero-byte transfer: the legacy contract still creates/empties
+    // Clean zero-byte transfer: recvfile(path, 0) still creates/empties
     // the destination.
     const int fd =
         ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);

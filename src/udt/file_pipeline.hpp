@@ -188,7 +188,7 @@ class FileSink {
   // Drains the queue, trims the preallocation to the bytes actually
   // written, closes the file and joins the writer.  `create_if_empty`
   // makes a clean zero-byte transfer still create/truncate the file (the
-  // legacy contract for recvfile(path, 0)); a failed transfer that never
+  // recvfile(path, 0) contract); a failed transfer that never
   // saw a byte leaves the path untouched either way.  True on a clean disk
   // close.  Idempotent.
   bool finish(bool create_if_empty);

@@ -190,13 +190,6 @@ std::shared_ptr<Multiplexer> Multiplexer::find(std::uint16_t port) {
 }
 
 void Multiplexer::start() {
-  std::shared_ptr<FaultInjector> inj;
-  if (cfg_.faults) {
-    inj = cfg_.faults;
-  } else if (cfg_.loss_injection > 0.0) {
-    inj = make_loss_injector(cfg_.loss_injection, cfg_.loss_seed,
-                             kHeaderBytes + 16);
-  }
   const auto rcv_timeout = std::chrono::microseconds{
       static_cast<std::int64_t>(cfg_.syn_s * 1e6 / 2)};
   bool any_gro = false;
@@ -205,7 +198,7 @@ void Multiplexer::start() {
     // One injector instance across the shard fds: faults stay per logical
     // datagram and the drop/duplicate accounting stays coherent no matter
     // which shard's fd carried the packet.
-    if (inj) sh->channel->set_fault_injector(inj);
+    if (cfg_.faults) sh->channel->set_fault_injector(cfg_.faults);
     sh->channel->set_recv_timeout(rcv_timeout);
     sh->channel->set_buffer_sizes(4 << 20, 8 << 20);
     if (cfg_.gso && sh->channel->enable_gro()) any_gro = true;
@@ -236,7 +229,6 @@ void Multiplexer::start() {
   const auto max_batch = static_cast<std::size_t>(io_batch_);
   const std::size_t slot_count =
       gro_ ? max_batch * 4 : std::max<std::size_t>(512, max_batch * 4);
-  legacy_sweep_ = env_flag("UDTR_FULL_SWEEP");
   syn_us_ = std::chrono::microseconds{
       static_cast<std::int64_t>(cfg_.syn_s * 1e6)};
   for (auto& sh : shards_) {
@@ -265,8 +257,6 @@ bool Multiplexer::uring_active() const {
 
 bool Multiplexer::compatible(const SocketOptions& opts) const {
   return opts.faults == cfg_.faults &&
-         opts.loss_injection == cfg_.loss_injection &&
-         (opts.loss_injection == 0.0 || opts.loss_seed == cfg_.loss_seed) &&
          std::clamp(opts.io_batch, 1, 64) == io_batch_ &&
          opts.io_backend == cfg_.io_backend &&
          opts.gso == cfg_.gso && opts.syn_s == cfg_.syn_s &&
@@ -336,7 +326,6 @@ void Multiplexer::detach(Socket* s) {
 }
 
 void Multiplexer::arm_timer(Socket* s) {
-  if (legacy_sweep_) return;  // the full walk covers every socket already
   Shard& sh = shard_for(s->socket_id_);
   const auto now = Clock::now();
   s->wheel_deadline_ns_.store(to_ns(now), std::memory_order_relaxed);
@@ -497,40 +486,36 @@ void Multiplexer::handle_handshake(std::span<const std::uint8_t> pkt,
     admission_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (cfg_.stateless_handshake) {
-    if (req->cookie == 0) {
-      // First contact: answer with a signed cookie and retain NOTHING.  A
-      // spoofed source never sees the challenge, so it never reaches the
-      // stateful path below.
-      HandshakePayload challenge = *req;
-      challenge.request_type = kHsChallenge;
-      challenge.cookie =
-          cookie_keys_.make(now_sec, src.ip_host_order, src.port, *req);
-      cookie_challenges_.fetch_add(1, std::memory_order_relaxed);
-      lk.unlock();
-      send_handshake_packet(channel(), src, req->socket_id, challenge);
+  // Answers with a freshly signed cookie; hs_mu_ is released before the
+  // send.
+  const auto challenge = [&] {
+    HandshakePayload c = *req;
+    c.request_type = kHsChallenge;
+    c.cookie = cookie_keys_.make(now_sec, src.ip_host_order, src.port, *req);
+    lk.unlock();
+    send_handshake_packet(channel(), src, req->socket_id, c);
+  };
+  if (req->cookie == 0) {
+    // First contact: answer with a signed cookie and retain NOTHING.  A
+    // spoofed source never sees the challenge, so it never reaches the
+    // stateful path below.
+    cookie_challenges_.fetch_add(1, std::memory_order_relaxed);
+    challenge();
+    return;
+  }
+  switch (cookie_keys_.verify(now_sec, src.ip_host_order, src.port, *req,
+                              req->cookie)) {
+    case CookieKeyring::Verdict::kValid:
+      break;
+    case CookieKeyring::Verdict::kExpired:
+      // Stale but authentic: re-challenge so a slow client self-heals with
+      // a fresh cookie instead of retransmitting into a black hole.
+      cookie_expired_.fetch_add(1, std::memory_order_relaxed);
+      challenge();
       return;
-    }
-    switch (cookie_keys_.verify(now_sec, src.ip_host_order, src.port, *req,
-                                req->cookie)) {
-      case CookieKeyring::Verdict::kValid:
-        break;
-      case CookieKeyring::Verdict::kExpired: {
-        // Stale but authentic: re-challenge so a slow client self-heals
-        // with a fresh cookie instead of retransmitting into a black hole.
-        cookie_expired_.fetch_add(1, std::memory_order_relaxed);
-        HandshakePayload challenge = *req;
-        challenge.request_type = kHsChallenge;
-        challenge.cookie =
-            cookie_keys_.make(now_sec, src.ip_host_order, src.port, *req);
-        lk.unlock();
-        send_handshake_packet(channel(), src, req->socket_id, challenge);
-        return;
-      }
-      case CookieKeyring::Verdict::kInvalid:
-        cookie_rejects_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
+    case CookieKeyring::Verdict::kInvalid:
+      cookie_rejects_.fetch_add(1, std::memory_order_relaxed);
+      return;
   }
   if (pending_keys_.contains(key)) return;
   if (pending_.size() >= kMaxPendingHandshakes) {
@@ -584,7 +569,7 @@ void Multiplexer::dispatch(std::span<const std::uint8_t> pkt,
   s->mux_ingest(pkt, slab, slab_slot);
   // An arrival usually means timer work soon (§4.8: ACK cadence resumes,
   // EXP pushes out) — pull a parked wheel entry in to one SYN from now.
-  if (!legacy_sweep_) tighten_timer(owner, s);
+  tighten_timer(owner, s);
 }
 
 void Multiplexer::rx_loop(Shard& sh) {
@@ -621,19 +606,14 @@ void Multiplexer::rx_loop(Shard& sh) {
   while (running_) {
     (void)sh.io->rx_round(rxs, sink, &sctx);
     // §4.8 timer check: only sockets whose wheel entry expired are swept —
-    // an idle fleet parks at EXP cadence and costs nothing per tick.  The
-    // legacy env override keeps the PR 4 every-socket walk measurable.
+    // an idle fleet parks at EXP cadence and costs nothing per tick.
     const auto now = Clock::now();
     if (now - last_sweep >= kSweepGap) {
       last_sweep = now;
       sh.sweep_calls.fetch_add(1, std::memory_order_relaxed);
-      if (legacy_sweep_) {
-        full_sweep(sh);
-      } else {
-        sh.wheel.drain(now, [this, &sh](std::uint64_t key) {
-          fire_timer(sh, key);
-        });
-      }
+      sh.wheel.drain(now, [this, &sh](std::uint64_t key) {
+        fire_timer(sh, key);
+      });
     }
     if (sh.index == 0 && now - last_evict >= kEvictGap) {
       last_evict = now;
@@ -674,27 +654,6 @@ void Multiplexer::tighten_timer(Shard& owner, Socket* s) {
       owner.wheel.schedule(s->socket_id_, want);
       return;
     }
-  }
-}
-
-void Multiplexer::full_sweep(Shard& sh) {
-  // Legacy O(all-sockets) walk.  The socket list is snapshotted first and
-  // each sweep re-takes the shard lock, so attach/detach are never starved
-  // behind a long walk (the old code held the registry lock across every
-  // socket's sweep).
-  thread_local std::vector<std::uint32_t> ids;
-  ids.clear();
-  {
-    std::shared_lock al{sh.attach_mu};
-    ids.reserve(sh.socks.size());
-    for (const auto& [id, s] : sh.socks) ids.push_back(id);
-  }
-  for (const std::uint32_t id : ids) {
-    std::shared_lock al{sh.attach_mu};
-    const auto it = sh.socks.find(id);
-    if (it == sh.socks.end()) continue;
-    sh.socket_sweeps.fetch_add(1, std::memory_order_relaxed);
-    it->second->sweep_timers();
   }
 }
 

@@ -25,8 +25,8 @@
 //     threads (send(), close()) or a foreign shard take a small
 //     mutex-protected pending list instead — the SPSC invariant is
 //     structural, not hopeful.
-//   * its own hierarchical TimerWheel replacing the O(all-sockets)
-//     sweep_timers() walk: each socket keeps one entry at its earliest
+//   * its own hierarchical TimerWheel replacing the PR 4 O(all-sockets)
+//     timer walk: each socket keeps one entry at its earliest
 //     §4.8 deadline and the rx loop drains expirations in O(expired).
 //
 // Sockets are assigned shard = socket_id % N for their whole lifetime (the
@@ -153,7 +153,7 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   [[nodiscard]] bool uring_active() const;
 
   // True when a socket with these options can share this multiplexer: same
-  // fault/loss configuration (the injector is per-channel), same batching,
+  // fault injector (it is per-channel), same batching,
   // offload and shard setup, and an MSS that fits the receive slots.
   [[nodiscard]] bool compatible(const SocketOptions& opts) const;
 
@@ -263,9 +263,7 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   // SocketOptions::max_tracked_ips no matter how many sources flood).
   [[nodiscard]] std::size_t admission_tracked_ips() const;
   // Timer-wheel work counters summed over shards: drain() calls made by the
-  // rx loops, and entries fired (each fire = one socket sweep).  With the
-  // legacy full-walk env override these count the walk instead, so the
-  // bench comparing O(active) vs O(all) reads the same counters both ways.
+  // rx loops, and entries fired (each fire = one socket sweep).
   [[nodiscard]] std::uint64_t timer_sweep_calls() const;
   [[nodiscard]] std::uint64_t timer_socket_sweeps() const;
   // UDP I/O system calls summed over the port's channels (each owning shard
@@ -329,7 +327,8 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
     std::uint64_t order = 0;
     std::vector<std::uint32_t> due_scratch;
 
-    // Timer accounting for the O(expired)-vs-O(all) acceptance bench.
+    // Timer accounting, read through timer_sweep_calls() /
+    // timer_socket_sweeps().
     std::atomic<std::uint64_t> sweep_calls{0};
     std::atomic<std::uint64_t> socket_sweeps{0};
 
@@ -359,9 +358,6 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   // Pulls the socket's wheel deadline in to now + SYN after a delivery so a
   // parked (EXP-horizon) socket resumes ACK cadence promptly.
   void tighten_timer(Shard& owner, Socket* s);
-  // Legacy O(all-sockets) walk (UDTR_FULL_SWEEP=1): kept as a safety valve
-  // and as the measurable "PR 4 baseline" for the timer-cost bench.
-  void full_sweep(Shard& sh);
   [[nodiscard]] Shard& shard_for(std::uint32_t socket_id) {
     return *shards_[socket_id % shards_.size()];
   }
@@ -378,7 +374,6 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   bool gro_ = false;
   bool client_shared_ = false;  // eligible for for_client() reuse
   bool steered_ = false;
-  bool legacy_sweep_ = false;  // UDTR_FULL_SWEEP=1
   std::chrono::microseconds syn_us_{10000};
 
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -121,18 +121,18 @@ struct AckPayload {
   static constexpr std::size_t kWords = 6;
 };
 
-// Handshake request_type values.  A stateless listener answers the first
+// Handshake request_type values.  The listener answers the first
 // (cookie-less) request with a kHsChallenge carrying a signed cookie; the
 // client echoes it in a second kHsRequest and only then does the listener
-// allocate state.  Legacy peers never send or expect kHsChallenge.
+// allocate state.
 inline constexpr std::uint32_t kHsResponse = 0;
 inline constexpr std::uint32_t kHsRequest = 1;
 inline constexpr std::uint32_t kHsChallenge = 2;
 
-// Handshake payload.  The legacy form is 7 words; cookie-aware stacks append
-// a 64-bit SYN-cookie (two words, big-endian, high word first).  Decoders
-// accept both: a payload shorter than kWordsWithCookie simply yields
-// cookie == 0, so old and new stacks interoperate in either direction.
+// Handshake payload.  The minimal form is 7 words; we append a 64-bit
+// SYN-cookie (two words, big-endian, high word first).  Decoders validate
+// and accept both lengths: a payload shorter than kWordsWithCookie yields
+// cookie == 0, which the listener always answers with a challenge.
 struct HandshakePayload {
   std::uint32_t version = 4;
   std::uint32_t initial_seq = 0;
@@ -142,7 +142,7 @@ struct HandshakePayload {
   std::uint32_t socket_id = 0;
   std::uint32_t port = 0;      // redirect port in responses
   std::uint64_t cookie = 0;    // stateless-handshake cookie (0 = none)
-  static constexpr std::size_t kWords = 7;            // legacy minimum
+  static constexpr std::size_t kWords = 7;            // minimum accepted
   static constexpr std::size_t kWordsWithCookie = 9;  // what we emit
 };
 

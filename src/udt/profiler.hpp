@@ -13,9 +13,14 @@
 
 namespace udtr::udt {
 
+// kTiming and the receiver's kUdpIo are not yet attributed on the
+// multiplexer datapath: the shard threads make the rx syscalls and the
+// pacing waits for many sockets at once, and nothing charges them to a
+// socket's profiler yet, so both read 0.  The values stay so reports keep
+// their columns.
 enum class ProfUnit : std::size_t {
-  kUdpIo = 0,       // sendto / recvfrom system calls
-  kTiming,          // pacing waits (busy wait + sleep)
+  kUdpIo = 0,       // sendto / recvfrom system calls (sender side only)
+  kTiming,          // pacing waits (busy wait + sleep); unattributed, see above
   kPacking,         // header serialization + payload copy out of SndBuffer
   kUnpacking,       // header parse + payload copy into RcvBuffer
   kCtrlProcessing,  // ACK/ACK2/NAK handling
@@ -83,8 +88,8 @@ class Profiler {
     return t;
   }
 
-  // How many multiplexer shards fed this profiler (1 in exclusive-port
-  // mode).  Pure annotation for reports: sharded runs split one socket's
+  // How many multiplexer shards fed this profiler.  Pure annotation for
+  // reports: sharded runs split one socket's
   // units across several service threads, and a reader comparing Table 3
   // shares run-over-run needs to know the thread layout behind them.
   void set_shards(int shards) {
@@ -125,7 +130,7 @@ class Profiler {
 
  private:
   // One cache line per unit: a shard's rx thread (unpacking, ctrl, timer
-  // units) and its tx thread (packing, udp-io, timing) hammer different
+  // units) and its tx thread (packing, udp-io) hammer different
   // units of the *same* socket's profiler concurrently, and sharing a line
   // between their counters would put a coherence miss on every sample.
   struct alignas(64) Cell {

@@ -283,27 +283,6 @@ TEST(HandshakeFlood, AcceptQueueOverflowIsCounted) {
   ::close(fd);
 }
 
-TEST(HandshakeFlood, StatelessOffUsesLegacyTwoWayHandshake) {
-  auto opts = small_opts();
-  opts.stateless_handshake = false;
-  auto listener = Socket::listen(0, opts);
-  ASSERT_NE(listener, nullptr);
-  auto mux = Multiplexer::find(listener->local_port());
-  ASSERT_NE(mux, nullptr);
-
-  auto accepted = std::async(std::launch::async, [&] {
-    return listener->accept(std::chrono::seconds{10});
-  });
-  auto client =
-      Socket::connect("127.0.0.1", listener->local_port(), small_opts());
-  ASSERT_NE(client, nullptr);
-  auto server = accepted.get();
-  ASSERT_NE(server, nullptr);
-  // No challenge leg was ever taken.
-  EXPECT_EQ(mux->cookie_challenges(), 0U);
-  EXPECT_EQ(mux->cookie_rejects(), 0U);
-}
-
 TEST(HandshakeFlood, CookieExpiryStillRecoversViaFreshChallenge) {
   // An authentic-but-stale cookie cannot be forced end to end without
   // waiting out the TTL, but the recovery contract — expired cookie gets a

@@ -339,22 +339,10 @@ TEST(MessageMode, ReliableRoundTripUnderFaultsGsoOff) {
   run_faulted_roundtrip(opts, 80);
 }
 
-TEST(MessageMode, ReliableRoundTripUnderFaultsLegacyCopyPath) {
-  SocketOptions opts;
-  opts.zero_copy = false;
-  run_faulted_roundtrip(opts, 80);
-}
-
 TEST(MessageMode, ReliableRoundTripUnderFaultsUringBackend) {
   SKIP_WITHOUT_URING();
   SocketOptions opts;
   opts.io_backend = IoBackend::kUring;
-  run_faulted_roundtrip(opts, 80);
-}
-
-TEST(MessageMode, ReliableRoundTripExclusivePort) {
-  SocketOptions opts;
-  opts.exclusive_port = true;
   run_faulted_roundtrip(opts, 80);
 }
 

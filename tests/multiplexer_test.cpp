@@ -1,6 +1,6 @@
 // Connection multiplexing: many UDT sockets sharing one UDP port and one
 // pair of service threads, the send heap's fairness under mixed pacing
-// rates, the Poller readiness surface, and the exclusive-port legacy mode.
+// rates, the Poller readiness surface, and the shard/timer-wheel layout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -489,54 +489,6 @@ TEST(Multiplexer, PollerReportsErrWhenPeerGoesDark) {
   EXPECT_EQ(p.client->last_error(), SocketError::kConnectionBroken);
 }
 
-// --- exclusive-port legacy mode --------------------------------------------
-
-TEST(Multiplexer, ExclusivePortReproducesLegacyDatapath) {
-  SocketOptions opts;
-  opts.exclusive_port = true;
-  MuxPair p = make_pair_opts(opts, opts);
-  ASSERT_NE(p.client, nullptr);
-  ASSERT_NE(p.server, nullptr);
-
-  // No multiplexer anywhere, and the accepted child owns its own port.
-  EXPECT_EQ(p.listener->multiplexer(), nullptr);
-  EXPECT_EQ(p.client->multiplexer(), nullptr);
-  EXPECT_EQ(p.server->multiplexer(), nullptr);
-  EXPECT_NE(p.server->local_port(), p.listener->local_port());
-
-  const auto payload = make_payload(512 << 10, 5);
-  EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
-  const auto back = make_payload(128 << 10, 6);
-  EXPECT_EQ(pump(*p.server, *p.client, back), back);
-}
-
-TEST(Multiplexer, MixedModesInteroperate) {
-  SocketOptions exclusive;
-  exclusive.exclusive_port = true;
-
-  {
-    // Legacy server, multiplexed client.
-    MuxPair p = make_pair_opts(exclusive, SocketOptions{});
-    ASSERT_NE(p.client, nullptr);
-    ASSERT_NE(p.server, nullptr);
-    EXPECT_EQ(p.server->multiplexer(), nullptr);
-    EXPECT_NE(p.client->multiplexer(), nullptr);
-    const auto payload = make_payload(256 << 10, 11);
-    EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
-  }
-  {
-    // Multiplexed server, legacy client.
-    MuxPair p = make_pair_opts(SocketOptions{}, exclusive);
-    ASSERT_NE(p.client, nullptr);
-    ASSERT_NE(p.server, nullptr);
-    EXPECT_NE(p.server->multiplexer(), nullptr);
-    EXPECT_EQ(p.client->multiplexer(), nullptr);
-    EXPECT_EQ(p.server->local_port(), p.listener->local_port());
-    const auto payload = make_payload(256 << 10, 12);
-    EXPECT_EQ(pump(*p.client, *p.server, payload), payload);
-  }
-}
-
 // --- duplicate-handshake memory --------------------------------------------
 
 TEST(Multiplexer, SlowSynRetransmitDoesNotSpawnGhostSocket) {
@@ -669,11 +621,8 @@ TEST(Multiplexer, FallbackSoftwareDemuxStaysByteExact) {
 
 // The O(active) property itself: an idle fleet parks at EXP cadence on the
 // timer wheel, so the per-socket sweep count over a fixed window stays far
-// below the one-sweep-per-millisecond of the legacy full walk.
+// below the one-sweep-per-millisecond of an every-socket walk.
 TEST(Multiplexer, IdleFleetParksTimersOnTheWheel) {
-  if (std::getenv("UDTR_FULL_SWEEP") != nullptr) {
-    GTEST_SKIP() << "legacy full-sweep mode forced by environment";
-  }
   const int n = env_sockets(64);
   SocketOptions opts = small_opts();
   opts.syn_s = 0.015;

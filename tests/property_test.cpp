@@ -155,13 +155,15 @@ TEST_P(SocketMssSweep, LoopbackTransferExactAtEveryMss) {
   using namespace udtr::udt;
   SocketOptions opts;
   opts.mss_bytes = GetParam();
-  opts.loss_injection = 0.01;  // exercise retransmission at every size
-  opts.loss_seed = 77;
+  // Exercise retransmission at every size; each end drops from its own
+  // seeded stream.
+  opts.faults = make_loss_injector(0.01, 77, kHeaderBytes + 16);
   auto listener = Socket::listen(0, opts);
   ASSERT_NE(listener, nullptr);
   auto accepted = std::async(std::launch::async, [&] {
     return listener->accept(std::chrono::seconds{5});
   });
+  opts.faults = make_loss_injector(0.01, 77, kHeaderBytes + 16);
   auto client = Socket::connect("127.0.0.1", listener->local_port(), opts);
   auto server = accepted.get();
   ASSERT_NE(client, nullptr);

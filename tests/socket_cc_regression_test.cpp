@@ -98,13 +98,10 @@ void send_raw_ctrl(UdpChannel& raw, std::uint16_t dst_port, CtrlType type,
 // buffer).  The sender must halt NEW data on a zero window, keep the
 // connection alive with persist probes (TCP persist-timer analogue), and
 // resume promptly once the application drains.
-void run_zero_window_scenario(bool exclusive_port) {
+TEST(SocketZeroWindow, SenderHaltsAndResumesAfterDrain) {
   SocketOptions server;
   server.rcv_buffer_pkts = 64;  // tiny receive buffer: fills in one burst
-  server.exclusive_port = exclusive_port;
-  SocketOptions client;
-  client.exclusive_port = exclusive_port;
-  Pair p = make_pair_opts(server, client);
+  Pair p = make_pair_opts(server, {});
   ASSERT_NE(p.client, nullptr);
   ASSERT_NE(p.server, nullptr);
 
@@ -157,14 +154,6 @@ void run_zero_window_scenario(bool exclusive_port) {
   EXPECT_GT(p.client->perf().peer_window_pkts, 0.0);
   p.client->close();
   p.server->close();
-}
-
-TEST(SocketZeroWindow, SenderHaltsAndResumesAfterDrain) {
-  run_zero_window_scenario(/*exclusive_port=*/false);
-}
-
-TEST(SocketZeroWindow, SenderHaltsAndResumesAfterDrainExclusivePort) {
-  run_zero_window_scenario(/*exclusive_port=*/true);
 }
 
 // The drain-triggered window update clears the receiver's advertised_zero
@@ -482,8 +471,8 @@ TEST(SocketCcAlgo, EveryBuiltinAlgorithmTransfersExactly) {
   for (const std::string& name : congestion_names()) {
     SocketOptions client;
     client.congestion = name;
-    client.loss_injection = 0.02;  // exercise the on_nak path too
-    client.loss_seed = 7;
+    // Loss exercises the on_nak path too.
+    client.faults = make_loss_injector(0.02, 7, kHeaderBytes + 16);
     Pair p = make_pair_opts({}, client);
     ASSERT_NE(p.client, nullptr) << name;
     ASSERT_NE(p.server, nullptr) << name;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <future>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "udt/socket.hpp"
@@ -24,13 +25,14 @@ struct Pair {
   std::unique_ptr<Socket> listener, client, server;
 };
 
-Pair make_pair(SocketOptions opts = {}) {
+Pair make_pair(SocketOptions server_opts = {}, SocketOptions client_opts = {}) {
   Pair p;
-  p.listener = Socket::listen(0, opts);
+  p.listener = Socket::listen(0, server_opts);
   auto accepted = std::async(std::launch::async, [&] {
     return p.listener->accept(std::chrono::seconds{5});
   });
-  p.client = Socket::connect("127.0.0.1", p.listener->local_port(), opts);
+  p.client =
+      Socket::connect("127.0.0.1", p.listener->local_port(), client_opts);
   p.server = accepted.get();
   return p;
 }
@@ -80,10 +82,12 @@ TEST(SendOverlapped, ReturnImpliesBufferReusable) {
 }
 
 TEST(SendOverlapped, SurvivesLossWithRetransmissionsFromBorrowedMemory) {
-  SocketOptions opts;
-  opts.loss_injection = 0.05;
-  opts.loss_seed = 23;
-  Pair p = make_pair(opts);
+  // Each end drops from its own seeded stream.
+  SocketOptions server;
+  server.faults = make_loss_injector(0.05, 23, kHeaderBytes + 16);
+  SocketOptions client;
+  client.faults = make_loss_injector(0.05, 23, kHeaderBytes + 16);
+  Pair p = make_pair(server, client);
   ASSERT_NE(p.client, nullptr);
   ASSERT_NE(p.server, nullptr);
   const auto payload = make_payload(512 << 10, 24);
@@ -94,6 +98,41 @@ TEST(SendOverlapped, SurvivesLossWithRetransmissionsFromBorrowedMemory) {
   EXPECT_EQ(sent.get(), payload.size());
   EXPECT_GT(p.client->perf().retransmitted, 0u);
   p.client->close();
+  p.server->close();
+}
+
+// The returned count sums the real sizes of the unacknowledged chunks, not
+// whole MSS-sized packets.  A one-packet receive window the server never
+// drains lets the full first chunk through and strands the 100-byte tail;
+// closing the client then ends the call with exactly one MSS acknowledged.
+// A caller resending from a short count would duplicate stream bytes.
+TEST(SendOverlapped, ShortUnackedTailCountsItsRealSize) {
+  SocketOptions server;
+  server.rcv_buffer_pkts = 1;
+  SocketOptions client;
+  client.linger_s = 0.1;
+  Pair p = make_pair(server, client);
+  ASSERT_NE(p.client, nullptr);
+  ASSERT_NE(p.server, nullptr);
+  const auto mss = static_cast<std::size_t>(client.mss_bytes);
+  const auto payload = make_payload(mss + 100, 31);
+  auto sent = std::async(std::launch::async, [&] {
+    return p.client->send_overlapped(payload, std::chrono::seconds{30});
+  });
+  // Wait for the ACK that covers the first chunk and closes the window.
+  bool window_closed = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds{10};
+  while (!window_closed && std::chrono::steady_clock::now() < deadline) {
+    const PerfStats s = p.client->perf();
+    window_closed = s.acks_recv > 0 && s.peer_window_pkts <= 0.0;
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+  }
+  // Closing ends the call with the tail still unacknowledged (and keeps a
+  // failed wait from leaving the call blocked).
+  p.client->close();
+  EXPECT_TRUE(window_closed);
+  EXPECT_EQ(sent.get(), mss);
   p.server->close();
 }
 
