@@ -67,11 +67,12 @@ int main(int argc, char** argv) {
   const PerfStats ss = server->perf();
   std::printf("transferred %zu MB in %.2f s  =>  %.1f Mb/s\n", megabytes,
               secs, static_cast<double>(received) * 8.0 / secs / 1e6);
-  std::printf("sender:   %llu data pkts, %llu retransmitted, %llu ACKs in, "
-              "%llu NAKs in\n",
+  std::printf("sender:   %llu data pkts, %llu retransmitted, %llu ACKs in "
+              "(+%llu light), %llu NAKs in\n",
               (unsigned long long)cs.data_packets_sent,
               (unsigned long long)cs.retransmitted,
               (unsigned long long)cs.acks_recv,
+              (unsigned long long)cs.light_acks_recv,
               (unsigned long long)cs.naks_recv);
   std::printf("receiver: %llu data pkts, RTT %.2f ms, est. capacity %.0f "
               "Mb/s, window %.0f pkts\n",

@@ -232,7 +232,7 @@ bool SndBuffer::pinned_below(std::int64_t end) const {
 RecvSlab::RecvSlab(std::size_t slot_bytes, std::size_t slot_count)
     : slot_bytes_(slot_bytes),
       slot_count_(slot_count),
-      arena_(slot_bytes * slot_count),
+      arena_(new std::uint8_t[slot_bytes * slot_count]),
       refs_(slot_count, 0) {
   free_.reserve(slot_count);
   // LIFO free list: the hottest slot (most recently released) is reused

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -182,7 +183,7 @@ class RecvSlab {
   void release(int slot);
 
   [[nodiscard]] std::uint8_t* data(int slot) {
-    return arena_.data() + static_cast<std::size_t>(slot) * slot_bytes_;
+    return arena_.get() + static_cast<std::size_t>(slot) * slot_bytes_;
   }
   [[nodiscard]] std::size_t slot_bytes() const { return slot_bytes_; }
   [[nodiscard]] std::size_t slot_count() const { return slot_count_; }
@@ -191,7 +192,10 @@ class RecvSlab {
  private:
   std::size_t slot_bytes_;
   std::size_t slot_count_;
-  std::vector<std::uint8_t> arena_;
+  // Default-initialized (not zero-filled): a slot is always written by a
+  // receive before anything reads it, and leaving the arena untouched keeps
+  // its pages out of RSS until traffic actually uses them.
+  std::unique_ptr<std::uint8_t[]> arena_;
   std::vector<int> refs_;
   std::vector<int> free_;
   mutable std::mutex mu_;

@@ -12,9 +12,12 @@
 //   * The host calls set_now(now_s) before delivering any event; now_s is
 //     seconds on the socket's private monotonic clock (epoch = connection
 //     start).  Implementations must not read wall clocks themselves.
-//   * on_ack is only invoked for ACKs that ADVANCE snd_una (light-ACK
-//     semantics): duplicate or reordered-stale ACKs never reach the
-//     controller, so stale receiver statistics cannot drive a rate change.
+//   * on_ack is only invoked for full (SYN-clocked) ACKs whose cumulative
+//     point advances past the last one delivered: duplicate or
+//     reordered-stale ACKs never reach the controller, so stale receiver
+//     statistics cannot drive a rate change.  Light ACKs (ack id 0, sent
+//     from the receiver's drain sites) only free send-buffer storage and
+//     never reach it either, so the event stream stays one per SYN.
 //   * Outputs are sampled after each event: pkt_send_period_s() paces the
 //     sender (§4.5), window_packets() bounds in-flight NEW data (loss-list
 //     retransmissions are never window-gated), freeze_deadline_s() pauses

@@ -53,6 +53,11 @@ bool congestion_name_ok(const SocketOptions& o) {
 // analogue, scaled to our SYN clock).
 constexpr std::uint64_t kZwProbeCapUs = 500'000;
 
+// Receiver consumption between light ACKs.  Small enough that a 4 MiB
+// sendfile ring turns several times per SYN, large enough that a paced
+// MSS-1456 flow adds only a few hundred control packets per second.
+constexpr std::int64_t kLightAckBytes = 512 * 1024;
+
 }  // namespace
 
 Socket::Socket(SocketOptions opts)
@@ -250,9 +255,12 @@ double Socket::effective_snd_window() const {
   // including zero, which the controller never sees (its input floors at 2
   // so control laws keep their historic shape): a closed window is the
   // socket's business, reopened by the persist probe path, not a rate
-  // signal.
+  // signal.  The advertisement counts from the cumulative point of the ACK
+  // that carried it: a light ACK moving snd_una_ past that point frees
+  // storage but must not stretch the extent the receiver granted.
   if (opts_.window_control && peer_ack_seen_) {
-    wnd = std::min(wnd, peer_avail_pkts_);
+    wnd = std::min(wnd, peer_avail_pkts_ - static_cast<double>(
+                                               snd_una_ - peer_avail_index_));
   }
   return wnd;
 }
@@ -646,6 +654,29 @@ void Socket::handle_data(std::span<const std::uint8_t> pkt, RecvSlab* slab,
   poke_watchers();
 }
 
+void Socket::release_acked(std::int64_t ack_index) {
+  snd_una_ = ack_index;
+  snd_buffer_.ack_up_to(ack_index);
+  {
+    ScopedTimer t{opts_.enable_profiler ? &profiler_ : nullptr,
+                  ProfUnit::kLossProcessing};
+    snd_loss_.remove_up_to(seq_of(ack_index - 1));
+  }
+  // Fully-acknowledged messages need no TTL tracking any more, and a drop
+  // record the cumulative ACK passed has done its job (the peer sealed the
+  // hole).  Records are index-ordered, so the purge is a front-pop.
+  while (!snd_msgs_.empty() && snd_msgs_.front().last < snd_una_) {
+    snd_msgs_.pop_front();
+  }
+  if (!snd_dropped_.empty()) {
+    std::erase_if(snd_dropped_,
+                  [&](const SndMsgRecord& r) { return r.last < snd_una_; });
+  }
+  if (snd_release_hook_) snd_release_hook_();
+  app_snd_cv_.notify_all();
+  poke_watchers();
+}
+
 void Socket::handle_ctrl(std::span<const std::uint8_t> pkt) {
   Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
   ScopedTimer ctrl_timer{prof, ProfUnit::kCtrlProcessing};
@@ -679,32 +710,53 @@ void Socket::handle_ctrl(std::span<const std::uint8_t> pkt) {
         break;
       }
       const AckPayload ack = *ack_opt;
-      ++stats_.acks_recv;
       last_ctrl_us_ = now;
       consecutive_timeouts_ = 0;
+      const std::int64_t ack_index = index_of(ack.ack_seq, snd_una_);
+      const bool advanced = ack_index > snd_una_ && ack_index <= snd_next_;
+
+      // Light ACK (id 0, sent from the peer's drain sites): the cumulative
+      // point only.  It frees acknowledged storage and nothing else — no
+      // ACK2 (there is no id to match), no window update (its other words
+      // are zero) and no controller feed (its cadence is the receiver's
+      // consumption, not the §3.1 SYN clock).
+      if (hdr.info == 0) {
+        ++stats_.light_acks_recv;
+        if (advanced) {
+          release_acked(ack_index);
+          wake_sender();
+        }
+        break;
+      }
+
+      ++stats_.acks_recv;
       // Echo ACK2 so the receiver can measure RTT.
       send_ctrl_simple(CtrlType::kAck2, hdr.info);
 
-      const std::int64_t ack_index = index_of(ack.ack_seq, snd_una_);
-      const bool advanced = ack_index > snd_una_ && ack_index <= snd_next_;
+      // New to the controller: beyond the last full-ACK point it was fed.
+      // Gating on snd_una_ instead would drop a SYN ACK whose point a light
+      // ACK already covered, starving the once-per-ACK rate increase.
+      const bool fresh = ack_index > cc_fed_index_ && ack_index <= snd_next_;
       // Plausible cumulative point — the same bar the NAK ranges must
-      // clear.  snd_una_ itself is included: a pure window update repeats
-      // the current point.
-      const bool in_window = ack_index >= snd_una_ && ack_index <= snd_next_;
+      // clear.  The last fed point itself is included: a pure window update
+      // repeats it.  (cc_fed_index_ <= snd_una_; the two are equal unless
+      // light ACKs ran ahead.)
+      const bool in_window =
+          ack_index >= cc_fed_index_ && ack_index <= snd_next_;
 
       // Flow control: the FRESHEST ack (by ack-id monotonicity, not
       // cumulative-seq advancement — a pure window update repeats its
       // ack_seq) carries the receiver's current free-buffer count,
       // including a genuine zero.  Three gates guard the advertisement:
       //   * in_window — a forged or corrupted ack whose cumulative point
-      //     lies outside [snd_una_, snd_next_] must not touch the window
+      //     lies outside [cc_fed_index_, snd_next_] must not touch the window
       //     at all (one wild ack with avail == 0 used to close it, and its
       //     far-future ack id made every later genuine ACK compare as
       //     stale: a single-packet permanent stall);
       //   * id freshness — a reordered stale ack must not clobber a newer
       //     advertisement in either direction;
-      //   * recovery overrides — an ack that genuinely advances snd_una_
-      //     is authoritative regardless of its id and resynchronizes the
+      //   * recovery overrides — an ack with a fresh cumulative point is
+      //     authoritative regardless of its id and resynchronizes the
       //     id baseline, and while we believe the window is closed any
       //     in-window ack may update it: the probe-elicited reopen must
       //     not be rejectable by id poisoning, and a sender that is
@@ -714,11 +766,12 @@ void Socket::handle_ctrl(std::span<const std::uint8_t> pkt) {
       const bool id_fresh =
           !peer_ack_seen_ || id_delta > 0 ||
           id_delta < -(std::numeric_limits<std::int32_t>::max() / 2);
-      if (in_window && (id_fresh || advanced || peer_avail_pkts_ <= 0.0)) {
+      if (in_window && (id_fresh || fresh || peer_avail_pkts_ <= 0.0)) {
         last_peer_ack_id_ = ack_id;
         peer_ack_seen_ = true;
         const double prev_avail = peer_avail_pkts_;
         peer_avail_pkts_ = static_cast<double>(ack.avail_buffer_pkts);
+        peer_avail_index_ = ack_index;
         if (opts_.window_control && peer_avail_pkts_ <= 0.0 &&
             prev_avail > 0.0) {
           // Window just closed: arm the persist probe so the reopening
@@ -732,28 +785,9 @@ void Socket::handle_ctrl(std::span<const std::uint8_t> pkt) {
         }
       }
 
-      if (advanced) {
-        snd_una_ = ack_index;
-        snd_buffer_.ack_up_to(ack_index);
-        {
-          ScopedTimer t{prof, ProfUnit::kLossProcessing};
-          snd_loss_.remove_up_to(seq_of(ack_index - 1));
-        }
-        // Fully-acknowledged messages need no TTL tracking any more, and a
-        // drop record the cumulative ACK passed has done its job (the peer
-        // sealed the hole).  Records are index-ordered, so the purge is a
-        // front-pop.
-        while (!snd_msgs_.empty() && snd_msgs_.front().last < snd_una_) {
-          snd_msgs_.pop_front();
-        }
-        if (!snd_dropped_.empty()) {
-          std::erase_if(snd_dropped_, [&](const SndMsgRecord& r) {
-            return r.last < snd_una_;
-          });
-        }
-        if (snd_release_hook_) snd_release_hook_();
-        app_snd_cv_.notify_all();
-        poke_watchers();
+      if (advanced) release_acked(ack_index);
+      if (fresh) {
+        cc_fed_index_ = ack_index;
         cc::AckInfo info;
         info.ack_seq = ack.ack_seq;
         info.rtt_s = static_cast<double>(ack.rtt_us) * 1e-6;
@@ -763,10 +797,10 @@ void Socket::handle_ctrl(std::span<const std::uint8_t> pkt) {
             ack.avail_buffer_pkts > 0 ? ack.avail_buffer_pkts : 2.0;
         cc_->on_ack(info);
       } else {
-        // Light-ACK semantics: a duplicate or reordered-stale ack (nothing
-        // newly acknowledged) must not feed its receiver statistics to the
-        // controller — an old ack's stale recv_rate/capacity once drove
-        // spurious rate increases here.
+        // A duplicate or reordered-stale ack (nothing new to the
+        // controller) must not feed its receiver statistics to it — an old
+        // ack's stale recv_rate/capacity once drove spurious rate
+        // increases here.
         ++stats_.stale_acks_dropped;
       }
       wake_sender();
@@ -1101,11 +1135,12 @@ void Socket::declare_broken() {
   poke_watchers();
 }
 
-void Socket::send_ack() {
+void Socket::send_ack(bool light) {
   std::array<std::uint8_t, kHeaderBytes + 4 * AckPayload::kWords> buf{};
   CtrlHeader hdr;
   hdr.type = CtrlType::kAck;
-  const std::int32_t ack_id = next_ack_id_++;
+  // Full-ACK ids skip 0, which is what marks a light ACK on the wire.
+  const std::int32_t ack_id = light ? 0 : next_ack_id_++;
   if (next_ack_id_ <= 0) next_ack_id_ = 1;
   hdr.info = static_cast<std::uint32_t>(ack_id);
   hdr.timestamp_us = static_cast<std::uint32_t>(now_us());
@@ -1113,28 +1148,46 @@ void Socket::send_ack() {
   write_ctrl_header(buf, hdr);
 
   const std::int64_t ack_index = rcv_buffer_.contiguous_end();
-  const double mss_wire = opts_.mss_bytes + kHeaderBytes;
   std::array<std::uint32_t, AckPayload::kWords> words{};
   words[0] = static_cast<std::uint32_t>(seq_of(ack_index).value());
-  words[1] = static_cast<std::uint32_t>(rtt_s_ * 1e6);
-  words[2] = static_cast<std::uint32_t>(rtt_s_ * 0.5e6);
-  // The advertised window is the truth, zero included: the old max(avail,2)
-  // floor meant flow control could never fully close, and a full receiver
-  // got overrun (arrivals past window_end are silently dropped).  The
-  // sender-side persist probe + our drain-triggered window update make the
-  // zero advertisement safe against deadlock.
-  const std::int32_t avail = std::max(rcv_buffer_.avail_packets(), 0);
-  words[3] = static_cast<std::uint32_t>(avail);
-  advertised_zero_ = avail == 0;
-  words[4] = static_cast<std::uint32_t>(speed_.packets_per_second());
-  words[5] = static_cast<std::uint32_t>(pair_.capacity_packets_per_second());
+  if (light) {
+    ++stats_.light_acks_sent;
+  } else {
+    words[1] = static_cast<std::uint32_t>(rtt_s_ * 1e6);
+    words[2] = static_cast<std::uint32_t>(rtt_s_ * 0.5e6);
+    // The advertised window is the truth, zero included: the old
+    // max(avail,2) floor meant flow control could never fully close, and a
+    // full receiver got overrun (arrivals past window_end are silently
+    // dropped).  The sender-side persist probe + our drain-triggered window
+    // update make the zero advertisement safe against deadlock.
+    const std::int32_t avail = std::max(rcv_buffer_.avail_packets(), 0);
+    words[3] = static_cast<std::uint32_t>(avail);
+    advertised_zero_ = avail == 0;
+    words[4] = static_cast<std::uint32_t>(speed_.packets_per_second());
+    words[5] = static_cast<std::uint32_t>(pair_.capacity_packets_per_second());
+    ack_times_[static_cast<std::size_t>(ack_id) % ack_times_.size()] = {
+        ack_id, now_us()};
+    ++stats_.acks_sent;
+  }
   write_words(std::span{buf}.subspan(kHeaderBytes), words);
-
-  ack_times_[static_cast<std::size_t>(ack_id) % ack_times_.size()] = {
-      ack_id, now_us()};
-  ++stats_.acks_sent;
   net_->send_to(peer_, buf);
-  (void)mss_wire;
+}
+
+void Socket::ack_on_drain() {
+  const std::int64_t point = rcv_buffer_.contiguous_end();
+  if (advertised_zero_ && rcv_buffer_.avail_packets() > 0) {
+    // After advertising a closed window, the drain that reopens it must
+    // announce itself at once: the ACK timer only fires on new data or ack
+    // movement, neither of which happens while the sender is halted.
+    send_ack();
+    last_acked_index_ = point;
+    data_since_ack_ = false;
+  } else if (point - last_acked_index_ >= kLightAckBytes / opts_.mss_bytes) {
+    // data_since_ack_ stays set: the next SYN still sends the full ACK the
+    // controller is clocked by.
+    send_ack(/*light=*/true);
+    last_acked_index_ = point;
+  }
 }
 
 void Socket::send_nak(
@@ -1247,16 +1300,6 @@ std::size_t Socket::recv(std::span<std::uint8_t> out,
   Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::unique_lock lk{state_mu_};
-  // After advertising a closed window, the drain that reopens it must
-  // announce itself at once: the ACK timer only fires on new data or ack
-  // movement, neither of which happens while the sender is halted.
-  const auto window_update = [&] {
-    if (advertised_zero_ && rcv_buffer_.avail_packets() > 0) {
-      send_ack();
-      last_acked_index_ = rcv_buffer_.contiguous_end();
-      data_since_ack_ = false;
-    }
-  };
   while (running_) {
     std::size_t n;
     {
@@ -1267,7 +1310,7 @@ std::size_t Socket::recv(std::span<std::uint8_t> out,
       }
     }
     if (n > 0) {
-      window_update();
+      ack_on_drain();
       stats_.bytes_delivered += n;
       return n;
     }
@@ -1286,7 +1329,7 @@ std::size_t Socket::recv(std::span<std::uint8_t> out,
       });
       const std::size_t filled = rcv_buffer_.release_user_buffer();
       if (filled > 0) {
-        window_update();
+        ack_on_drain();
         stats_.bytes_delivered += filled;
         return filled;
       }
@@ -1362,15 +1405,6 @@ std::size_t Socket::recvmsg(std::span<std::uint8_t> out,
   Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::unique_lock lk{state_mu_};
-  // Same reopening rule as recv(): a drain that reopens an advertised-zero
-  // window must announce itself at once.
-  const auto window_update = [&] {
-    if (advertised_zero_ && rcv_buffer_.avail_packets() > 0) {
-      send_ack();
-      last_acked_index_ = rcv_buffer_.contiguous_end();
-      data_since_ack_ = false;
-    }
-  };
   while (running_) {
     if (rcv_buffer_.msg_ready()) {
       std::size_t n;
@@ -1382,7 +1416,7 @@ std::size_t Socket::recvmsg(std::span<std::uint8_t> out,
         }
       }
       if (n > 0) {
-        window_update();
+        ack_on_drain();
         stats_.bytes_delivered += n;
         ++stats_.msgs_delivered;
         mux_->note_msgs_delivered();
@@ -1559,9 +1593,8 @@ std::uint64_t Socket::recvfile(const std::string& path,
       if (n == 0) {
         if (peer_shutdown_) break;
         if (batch.empty()) {
-          // Same reopening rule as recv(): nothing to announce here (no
-          // drain happened), just wait for data bounded by the progress
-          // deadline.
+          // Nothing to announce here (no drain happened), just wait for
+          // data bounded by the progress deadline.
           const bool sig = app_rcv_cv_.wait_for(lk, file_deadline_ms(), [&] {
             return !running_ || peer_shutdown_ ||
                    rcv_buffer_.readable_bytes() > 0;
@@ -1580,13 +1613,7 @@ std::uint64_t Socket::recvfile(const std::string& path,
         });
         stream_idle = rcv_buffer_.readable_bytes() == 0;
       } else {
-        // The drain just reopened window space; after advertising zero the
-        // reopen must announce itself at once (see recv()).
-        if (advertised_zero_ && rcv_buffer_.avail_packets() > 0) {
-          send_ack();
-          last_acked_index_ = rcv_buffer_.contiguous_end();
-          data_since_ack_ = false;
-        }
+        ack_on_drain();
         stats_.bytes_delivered += n;
         taken += n;
         batch_bytes += n;

@@ -228,9 +228,15 @@ struct PerfStats {
   std::uint64_t accept_queue_drops = 0;        // pending queue overflowed
   std::uint64_t handshake_admission_drops = 0; // per-IP rate/pending limits
   std::uint64_t handshake_cookie_rejects = 0;  // invalid or expired cookies
-  // ACKs that did not advance snd_una (duplicates, reordered-stale): their
-  // receiver statistics are withheld from the congestion controller.
+  // Full ACKs that did not advance the last point fed to the congestion
+  // controller (duplicates, reordered-stale): their receiver statistics are
+  // withheld from it.
   std::uint64_t stale_acks_dropped = 0;
+  // Light ACKs (ack id 0): cumulative-point-only acknowledgments the
+  // receiver sends from its drain sites between SYN ACKs.  acks_sent /
+  // acks_recv count full ACKs only.
+  std::uint64_t light_acks_sent = 0;
+  std::uint64_t light_acks_recv = 0;
   // Keepalive probes sent while the peer advertised a zero receive window.
   std::uint64_t zero_window_probes = 0;
   // Message mode (partial reliability): messages accepted by sendmsg /
@@ -434,11 +440,23 @@ class Socket {
   void handle_data(std::span<const std::uint8_t> pkt, RecvSlab* slab,
                    int slab_slot);
   void handle_ctrl(std::span<const std::uint8_t> pkt);
+  // Sender side of an ACK (full or light) whose cumulative point advanced
+  // snd_una_: free the acknowledged storage, purge the loss list and
+  // message records, recycle (snd_release_hook_) and wake blocked senders.
+  void release_acked(std::int64_t ack_index);
   void check_timers();
   // EXP budget exhausted: mark the connection dead and release every
   // blocked thread (state_mu_ held).
   void declare_broken();
-  void send_ack();
+  // Full ACK (§3.1: fresh ack id, RTT, window and rate words), or with
+  // `light` a light ACK: ack id 0 and the cumulative point alone.
+  void send_ack(bool light = false);
+  // Drain-site acknowledgment (recv, recvmsg, recvfile's take; state_mu_
+  // held): a window update when a drain reopened an advertised-zero window,
+  // else a light ACK once the contiguous point has moved kLightAckBytes
+  // past the last ACK of either kind, so the sender recycles its buffer at
+  // the rate the receiver consumes rather than once per SYN.
+  void ack_on_drain();
   void send_nak(std::span<const std::pair<udtr::SeqNo, udtr::SeqNo>> ranges);
   void send_ctrl_simple(CtrlType type, std::uint32_t info = 0);
   // Message mode: TTL sweep (expire unacked messages, emit kMsgDrop) and the
@@ -510,12 +528,17 @@ class Socket {
   std::unique_ptr<CongestionControl> cc_;
   std::int64_t snd_next_ = 0;   // next new packet index
   std::int64_t snd_una_ = 0;    // first unacknowledged index
+  // Last cumulative point fed to cc_->on_ack.  Only full ACKs move it, so
+  // the controller sees the SYN-clocked ACK stream even when a light ACK
+  // already moved snd_una_ past a full ACK's point.
+  std::int64_t cc_fed_index_ = 0;
   Pacer pacer_;
   // Flow control (sender side): free receiver buffer advertised by the
   // freshest ACK seen (ack-id monotonicity, not cumulative-seq advancement —
   // a pure window update repeats its ack_seq).  Zero closes the window for
   // new data; the persist-style probe below reopens it without deadlock.
   double peer_avail_pkts_ = 1e9;
+  std::int64_t peer_avail_index_ = 0;  // cumulative point it counts from
   std::int32_t last_peer_ack_id_ = 0;
   bool peer_ack_seen_ = false;
   std::uint64_t next_zw_probe_us_ = 0;
@@ -597,6 +620,7 @@ class Socket {
   // of the old 64-slot footprint (this array is per socket, and a 100k
   // fleet notices).
   std::array<std::pair<std::int32_t, std::uint64_t>, 16> ack_times_{};
+  // Cumulative point carried by the last ACK sent, full or light.
   std::int64_t last_acked_index_ = -1;
   bool data_since_ack_ = false;
   // True after an ACK advertised zero free buffer: arms the receiver-side

@@ -276,9 +276,10 @@ TEST(SocketStaleAck, ForgedStaleAckDoesNotMoveTheController) {
   const PerfStats rest = p.client->perf();
 
   // Forge a duplicate ACK carrying absurd receiver statistics (line-rate
-  // arrival speed, huge capacity, tiny RTT).  Its ack id (hdr.info == 0) is
+  // arrival speed, huge capacity, tiny RTT).  Its ack id (hdr.info == 1) is
   // stale and its cumulative point does not advance snd_una, so the
-  // controller must never see it.
+  // controller must never see it.  (Id 0 would mark a light ACK, which
+  // never reaches the controller at all; LightAck covers that form.)
   UdpChannel raw;
   ASSERT_TRUE(raw.open(0));
   std::array<std::uint32_t, AckPayload::kWords> words{};
@@ -289,7 +290,7 @@ TEST(SocketStaleAck, ForgedStaleAckDoesNotMoveTheController) {
   words[4] = 99999999;   // absurd arrival speed
   words[5] = 99999999;   // absurd capacity
   send_raw_ctrl(raw, p.client->local_port(), CtrlType::kAck, p.client->id(),
-                words);
+                words, /*info=*/1);
 
   ASSERT_TRUE(wait_until(
       [&] { return p.client->perf().stale_acks_dropped >

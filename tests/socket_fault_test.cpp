@@ -413,14 +413,17 @@ TEST(SocketFault, ConnectRejectsHostileMssAndAcceptsValidResponse) {
       resp.mss_bytes = hostile_then_valid[answered];
       resp.socket_id = 77;
       resp.port = fake.local_port();
+      // The encoder always writes the cookie-bearing form; send only its
+      // 7-word prefix so the short-form decode stays covered.
       std::vector<std::uint8_t> out(kHeaderBytes +
-                                    4 * HandshakePayload::kWords);
+                                    4 * HandshakePayload::kWordsWithCookie);
       CtrlHeader out_hdr;
       out_hdr.type = CtrlType::kHandshake;
       out_hdr.dst_socket = req->socket_id;
       write_ctrl_header(out, out_hdr);
       encode_handshake_payload(std::span{out}.subspan(kHeaderBytes), resp);
-      fake.send_to(src, out);
+      fake.send_to(src, std::span{out}.first(kHeaderBytes +
+                                             4 * HandshakePayload::kWords));
       ++answered;
     }
     return answered;
@@ -459,14 +462,17 @@ TEST(SocketFault, ConnectRefusesWhenOnlyHostileMssResponsesArrive) {
       resp.mss_bytes = 1u << 24;  // absurd
       resp.socket_id = 99;
       resp.port = fake.local_port();
+      // The encoder always writes the cookie-bearing form; send only its
+      // 7-word prefix so the short-form decode stays covered.
       std::vector<std::uint8_t> out(kHeaderBytes +
-                                    4 * HandshakePayload::kWords);
+                                    4 * HandshakePayload::kWordsWithCookie);
       CtrlHeader out_hdr;
       out_hdr.type = CtrlType::kHandshake;
       out_hdr.dst_socket = req->socket_id;
       write_ctrl_header(out, out_hdr);
       encode_handshake_payload(std::span{out}.subspan(kHeaderBytes), resp);
-      fake.send_to(src, out);
+      fake.send_to(src, std::span{out}.first(kHeaderBytes +
+                                             4 * HandshakePayload::kWords));
     }
   });
 

@@ -164,8 +164,11 @@ TEST(Socket, PerfStatsAreCoherent) {
   EXPECT_EQ(ss.bytes_delivered, payload.size());
   EXPECT_GT(cs.data_packets_sent, payload.size() / 1456);
   EXPECT_GT(cs.acks_recv, 0u);
-  EXPECT_EQ(cs.acks_recv, cs.acks_recv);
   EXPECT_GT(ss.acks_sent, 0u);
+  // Loss-free loopback: the sender cannot receive more ACKs of either kind
+  // than the receiver emitted.
+  EXPECT_LE(cs.acks_recv, ss.acks_sent);
+  EXPECT_LE(cs.light_acks_recv, ss.light_acks_sent);
   EXPECT_GE(ss.data_packets_recv, cs.data_packets_sent - cs.retransmitted
             ? 1u : 0u);
   EXPECT_GT(ss.rtt_ms, 0.0);
