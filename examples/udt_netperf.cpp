@@ -64,9 +64,12 @@ int main(int argc, char** argv) {
     while (!stop) server->recv(buf, std::chrono::milliseconds{200});
   });
 
-  std::printf("%6s %12s %10s %10s %10s %12s\n", "t(s)", "Mb/s", "rtx",
-              "naks", "rtt(ms)", "period(us)");
+  // forfeit(us): pacing schedule the sender gave up that second because
+  // its rounds were released more than one batch late (host too slow).
+  std::printf("%6s %12s %10s %10s %10s %12s %12s\n", "t(s)", "Mb/s", "rtx",
+              "naks", "rtt(ms)", "period(us)", "forfeit(us)");
   std::uint64_t last_bytes = 0;
+  double last_forfeit_us = 0.0;
   for (int t = 1; t <= static_cast<int>(seconds); ++t) {
     std::this_thread::sleep_for(std::chrono::seconds{1});
     const PerfStats p = server->perf();
@@ -74,9 +77,11 @@ int main(int argc, char** argv) {
     const double mbps =
         static_cast<double>(p.bytes_delivered - last_bytes) * 8.0 / 1e6;
     last_bytes = p.bytes_delivered;
-    std::printf("%6d %12.1f %10llu %10llu %10.2f %12.2f\n", t, mbps,
+    std::printf("%6d %12.1f %10llu %10llu %10.2f %12.2f %12.0f\n", t, mbps,
                 (unsigned long long)c.retransmitted,
-                (unsigned long long)c.naks_recv, p.rtt_ms, c.send_period_us);
+                (unsigned long long)c.naks_recv, p.rtt_ms, c.send_period_us,
+                c.pacing_forfeit_us - last_forfeit_us);
+    last_forfeit_us = c.pacing_forfeit_us;
   }
   stop = true;
   client->close();

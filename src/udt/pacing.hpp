@@ -23,47 +23,34 @@ class Pacer {
 
   Pacer() : next_(Clock::now()) {}
 
-  // Blocks until the scheduled send instant, then advances the schedule by
-  // `period`.  If we are already late, sending proceeds immediately and the
-  // schedule re-anchors at now (no packet bursts to "catch up" — that would
-  // defeat rate control, §4.5).
-  void pace(std::chrono::nanoseconds period) { pace(period, 1); }
-
-  // Batched variant: one wait covers `count` back-to-back packets, and the
-  // schedule advances by count * period, so the average rate is exactly the
-  // per-packet schedule while the syscall cost is paid once per batch.  The
-  // §3.3 inter-packet spacing becomes inter-*batch* spacing; callers bound
-  // the batch to a small horizon (see batch_credit) so the burst stays well
-  // under kernel buffer scale.  The late-schedule re-anchor rule is
-  // unchanged.
-  void pace(std::chrono::nanoseconds period, int count) {
+  // Books one send round of `count` back-to-back packets released at `now`
+  // (the instant the caller began filling the round, after waiting until
+  // next_send()): the schedule advances by count * period, so the average
+  // rate is exactly the per-packet schedule while the syscall cost is paid
+  // once per batch.  The §3.3 inter-packet spacing becomes inter-*batch*
+  // spacing; callers bound the batch to a small horizon (see batch_credit).
+  //
+  // A round released late keeps at most one batch of schedule debt: the
+  // next round is due at max(next, now - total) + total, so wake lateness
+  // and the send syscall itself no longer eat into the rate, yet after any
+  // stall at most one extra batch leaves back to back.  Lateness beyond
+  // one batch is forfeited (no catch-up burst, §4.5) and returned, so the
+  // caller can account the rate a slow host lost.
+  Clock::duration schedule(std::chrono::nanoseconds period, int count,
+                           Clock::time_point now) {
     const auto total = period * std::max(count, 1);
-    const auto now = Clock::now();
-    if (next_ <= now) {
-      next_ = now + total;
-      return;
+    const auto floor = now - total;
+    Clock::duration forfeit{0};
+    if (next_ < floor) {
+      forfeit = floor - next_;
+      next_ = floor;
     }
-    wait_until(next_);
     next_ += total;
+    return forfeit;
   }
 
-  // Non-blocking variant for an external scheduler (the multiplexer's send
-  // heap): the caller is expected to have waited until next_send() itself
-  // before sending `count` packets, and this advances the schedule exactly
-  // as pace() would have — including the late re-anchor rule, so a socket
-  // that fell behind resumes at its rate instead of bursting to catch up.
-  void schedule(std::chrono::nanoseconds period, int count) {
-    const auto total = period * std::max(count, 1);
-    const auto now = Clock::now();
-    if (next_ <= now) {
-      next_ = now + total;
-    } else {
-      next_ += total;
-    }
-  }
-
-  // Re-anchors the schedule (e.g. after a freeze or an idle stretch).
-  void reset() { next_ = Clock::now(); }
+  // Pushes the schedule to at least `t` (the §3.3 freeze deadline): debt
+  // accrued before a freeze is forgiven, never repaid as a burst.
   void delay_until(Clock::time_point t) {
     if (t > next_) next_ = t;
   }

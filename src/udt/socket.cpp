@@ -416,6 +416,10 @@ Pacer::Clock::time_point Socket::tx_round() {
   // push it to the wire, advance the schedule, hand the next deadline back.
   double period = 0.0;
   std::size_t count = 0;
+  // The round's release instant: the schedule is booked from here, not
+  // from after the syscall, so neither wake lateness nor the send itself
+  // is charged against the rate (see Pacer::schedule).
+  const auto release = Pacer::Clock::now();
   {
     std::unique_lock lk{state_mu_};
     if (!running_ || !snd_has_work()) {
@@ -423,39 +427,47 @@ Pacer::Clock::time_point Socket::tx_round() {
       // that guards snd_has_work()'s inputs, so a concurrent wake_sender
       // either saw work (flag stays meaningful) or re-sets it after us.
       tx_dirty_.store(false, std::memory_order_relaxed);
+      tx_backlogged_ = false;
       return Pacer::Clock::time_point::max();
     }
     const double now = now_s();
     cc_->set_now(now);
     if (cc_->frozen_at(now)) {
-      // Reschedule this socket's heap entry at exactly the freeze deadline:
-      // the one-SYN freeze used to cost a 1 ms poll loop on the shared tx
-      // heap (10 wasted wakeups per freeze) and resumed up to 1 ms late.
-      return epoch_ + std::chrono::duration_cast<Pacer::Clock::duration>(
-                          std::chrono::duration<double>(
-                              cc_->freeze_deadline_s()));
+      // Reschedule this socket's heap entry at exactly the freeze deadline
+      // and move the pacer there too: schedule debt from before the
+      // one-SYN freeze is forgiven, never repaid as a burst on resume.
+      const auto resume =
+          epoch_ + std::chrono::duration_cast<Pacer::Clock::duration>(
+                       std::chrono::duration<double>(cc_->freeze_deadline_s()));
+      pacer_.delay_until(resume);
+      return resume;
     }
     // A kick can land while a future deadline is already scheduled; sending
     // now would outrun the §4.5 schedule (and any bandwidth cap), so just
     // reschedule at the pacer's instant.
     const auto next = pacer_.next_send();
-    if (next > Pacer::Clock::now()) return next;
+    if (next > release) return next;
     count = fill_tx_batch(period);
     if (count == 0) {
       tx_dirty_.store(false, std::memory_order_relaxed);
+      tx_backlogged_ = false;
       return Pacer::Clock::time_point::max();
     }
   }
   const bool deferred = send_tx_batch(count);
-  // schedule() is pace() minus the wait (the heap already waited): the
-  // late re-anchor rule is preserved, so a socket that fell behind resumes
-  // at its rate instead of bursting.
-  pacer_.schedule(std::chrono::nanoseconds{
-                      static_cast<std::int64_t>(period * 1e9)},
-                  static_cast<int>(count));
+  const auto forfeit = pacer_.schedule(
+      std::chrono::nanoseconds{static_cast<std::int64_t>(period * 1e9)},
+      static_cast<int>(count), release);
   bool more;
   {
     std::lock_guard lk{state_mu_};
+    // Only a socket that stayed backlogged since its last round lost that
+    // schedule time to the host; the gap after an idle or window-limited
+    // park is not rate the cap promised.
+    if (tx_backlogged_) {
+      stats_.pacing_forfeit_us +=
+          std::chrono::duration<double, std::micro>(forfeit).count();
+    }
     // Syscall done: recycle any storage an ACK parked meanwhile and wake
     // overlapped senders waiting on pinned_below().  A deferred batch
     // unpins in on_tx_reaped instead.
@@ -466,6 +478,7 @@ Pacer::Clock::time_point Socket::tx_round() {
     }
     more = running_ && snd_has_work();
     if (!more) tx_dirty_.store(false, std::memory_order_relaxed);
+    tx_backlogged_ = more;
   }
   return more ? pacer_.next_send() : Pacer::Clock::time_point::max();
 }

@@ -102,15 +102,23 @@ struct SocketOptions {
   // its reference and flip faults mid-run; see fault.hpp.  For a seeded
   // data-only drop profile use make_loss_injector(p, seed, kHeaderBytes + 16).
   std::shared_ptr<FaultInjector> faults;
-  // Optional sending-rate cap in Mb/s (0 = uncapped).
+  // Optional sending-rate cap in Mb/s (0 = uncapped).  The cap counts UDT
+  // packet bytes (payload plus the 16-byte header, not UDP/IP headers), so
+  // the payload a capped flow delivers is at most
+  // cap * mss_bytes / (mss_bytes + 16): 939.7 Mb/s for 950 at MSS 1456.
+  // The sender holds it while the host keeps up; schedule time a slow host
+  // gives up shows as PerfStats::pacing_forfeit_us.
   double max_bandwidth_mbps = 0.0;
   // Maximum datagrams moved per UDP system call on the hot paths.  The
   // paper's profile (Table 3) shows the per-packet sendto/recvfrom calls
   // dominating CPU on both sides; batching amortises them via
   // sendmmsg/recvmmsg while the Pacer keeps the average rate on the §4.5
-  // schedule (batch_credit bounds each burst to a ~200 us horizon, so low
-  // rates still get true per-packet spacing).  1 = unbatched, the paper's
-  // original per-packet behavior; clamped to [1, 64].
+  // schedule: each round is booked from its release instant and may carry
+  // one batch of schedule debt, so neither wake lateness nor the syscall
+  // itself lowers the rate (batch_credit bounds each burst to a ~200 us
+  // horizon, so low rates still get true per-packet spacing, and after a
+  // stall at most one extra batch leaves back to back).  1 = unbatched,
+  // the paper's original per-packet behavior; clamped to [1, 64].
   int io_batch = 16;
   // UDP GSO/GRO offload on top of the zero-copy datapath (the sender
   // gathers (header, payload) iovecs straight out of SndBuffer chunks; the
@@ -251,6 +259,11 @@ struct PerfStats {
   // delay_warnings on) / delivered to our congestion controller.
   std::uint64_t delay_warnings_sent = 0;
   std::uint64_t delay_warnings_recv = 0;
+  // Pacing schedule time given up because a send round was released more
+  // than one batch late while the socket stayed backlogged (host too slow
+  // for the rate; see Pacer::schedule).  Only grows; divided by elapsed
+  // time it is the fraction of the paced rate the host lost.
+  double pacing_forfeit_us = 0.0;
   double rtt_ms = 0.0;
   double capacity_mbps = 0.0;       // RBPP estimate
   double recv_rate_mbps = 0.0;      // arrival-speed estimate
@@ -560,6 +573,10 @@ class Socket {
   // sweep only re-kicks dirty sockets, so a 100k-socket idle fleet costs
   // one relaxed load per socket per sweep instead of a full service round.
   std::atomic<bool> tx_dirty_{false};
+  // True while the previous tx round left work queued (guarded by
+  // state_mu_): only then is a late round's forfeited schedule time lost
+  // rate rather than an idle or window-limited gap.
+  bool tx_backlogged_ = false;
   // True while a send-heap entry for this socket exists (at most one).  See
   // Multiplexer::kick / serve for the protocol.
   std::atomic<bool> tx_scheduled_{false};

@@ -151,15 +151,22 @@ TEST(Socket, PerfStatsAreCoherent) {
   });
   std::vector<std::uint8_t> buf(1 << 16);
   std::size_t got = 0;
+  // Forfeited pacing time is a running total: sampled mid-transfer it never
+  // shrinks (how much a host forfeits depends on its speed, so no bound).
+  double forfeit_us = 0.0;
   while (got < payload.size()) {
     const std::size_t n = server->recv(buf, std::chrono::seconds{10});
     if (n == 0) break;
     got += n;
+    const double f = client->perf().pacing_forfeit_us;
+    EXPECT_GE(f, forfeit_us);
+    forfeit_us = f;
   }
   send_done.get();
 
   const PerfStats cs = client->perf();
   const PerfStats ss = server->perf();
+  EXPECT_GE(cs.pacing_forfeit_us, forfeit_us);
   EXPECT_EQ(cs.bytes_sent, payload.size());
   EXPECT_EQ(ss.bytes_delivered, payload.size());
   EXPECT_GT(cs.data_packets_sent, payload.size() / 1456);
