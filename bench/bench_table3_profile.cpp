@@ -46,8 +46,7 @@ struct ProfiledRun {
   double rcv_copies_per_byte = 0.0;
   // Real UDP I/O system calls per data packet (UdpChannel counters summed
   // over the multiplexer's shards) — unlike the profiler rows these count
-  // actual kernel entries, so the io_uring column (many datagrams per
-  // io_uring_enter) is directly comparable with mmsg.
+  // actual kernel entries.
   double snd_syscalls_per_packet = 0.0;
   double rcv_syscalls_per_packet = 0.0;
   std::vector<Profiler::Share> snd_report;
@@ -58,15 +57,13 @@ struct ProfiledRun {
   bool ok = false;
 };
 
-ProfiledRun run_profiled(double seconds, int io_batch,
-                         IoBackend backend = IoBackend::kMmsg) {
+ProfiledRun run_profiled(double seconds, int io_batch) {
   SocketOptions opts;
   opts.enable_profiler = true;
   // Match the paper's conditions: a ~GigE-rate transfer, where pacing waits
   // (the "timing" row) are a real cost rather than rounding noise.
   opts.max_bandwidth_mbps = 950.0;
   opts.io_batch = io_batch;
-  opts.io_backend = backend;
   auto listener = Socket::listen(0, opts);
   auto accepted = std::async(std::launch::async, [&] {
     return listener->accept(std::chrono::seconds{5});
@@ -151,15 +148,9 @@ int main(int argc, char** argv) {
                       "(instrumented transfer)", scale);
   const double seconds = scale.seconds(4, 15);
 
-  const bool uring = UdpChannel::uring_supported();
   const ProfiledRun batched = run_profiled(seconds, /*io_batch=*/16);
   const ProfiledRun single = run_profiled(seconds, /*io_batch=*/1);
-  // Second datapath column: the same transfer on the io_uring backend,
-  // where one io_uring_enter submits/reaps many datagrams.
-  const ProfiledRun uring_run =
-      uring ? run_profiled(seconds, /*io_batch=*/16, IoBackend::kUring)
-            : ProfiledRun{};
-  if (!batched.ok || !single.ok || (uring && !uring_run.ok)) {
+  if (!batched.ok || !single.ok) {
     std::fprintf(stderr, "connection failed\n");
     return 1;
   }
@@ -186,23 +177,11 @@ int main(int argc, char** argv) {
   std::printf("  amortization: %.1fx fewer sends per packet (receives: see "
               "the channel counters below)\n", snd_x);
 
-  std::printf("\nreal UDP syscalls per data packet (channel counters — "
-              "mmsg vs io_uring):\n");
-  std::printf("  %-10s %14s %14s\n", "side", "mmsg b=16", "io_uring");
-  if (uring) {
-    std::printf("  %-10s %14.3f %14.3f\n", "sending",
-                batched.snd_syscalls_per_packet,
-                uring_run.snd_syscalls_per_packet);
-    std::printf("  %-10s %14.3f %14.3f\n", "receiving",
-                batched.rcv_syscalls_per_packet,
-                uring_run.rcv_syscalls_per_packet);
-    std::printf("  io_uring rate: %.0f Mb/s\n", uring_run.rate_mbps);
-  } else {
-    std::printf("  %-10s %14.3f %14s\n", "sending",
-                batched.snd_syscalls_per_packet, "SKIPPED");
-    std::printf("  %-10s %14.3f %14s\n", "receiving",
-                batched.rcv_syscalls_per_packet, "SKIPPED (no io_uring)");
-  }
+  std::printf("\nreal UDP syscalls per data packet (channel counters, "
+              "batch=16):\n");
+  std::printf("  %-10s %14.3f\n", "sending", batched.snd_syscalls_per_packet);
+  std::printf("  %-10s %14.3f\n", "receiving",
+              batched.rcv_syscalls_per_packet);
 
   std::printf("\npayload bytes memcpy'd per data packet (zero-copy "
               "datapath):\n");
@@ -230,12 +209,8 @@ int main(int argc, char** argv) {
       {"payload_copies_per_byte_snd_zerocopy", batched.snd_copies_per_byte},
       {"payload_copies_per_byte_rcv_zerocopy", batched.rcv_copies_per_byte},
       {"shards", static_cast<double>(batched.shards)},
-      {"uring_supported", uring ? 1.0 : 0.0},
       {"syscalls_per_packet_snd_mmsg", batched.snd_syscalls_per_packet},
       {"syscalls_per_packet_rcv_mmsg", batched.rcv_syscalls_per_packet},
-      {"syscalls_per_packet_snd_uring", uring_run.snd_syscalls_per_packet},
-      {"syscalls_per_packet_rcv_uring", uring_run.rcv_syscalls_per_packet},
-      {"rate_mbps_uring", uring_run.rate_mbps},
   });
   return 0;
 }

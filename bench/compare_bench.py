@@ -2,7 +2,6 @@
 """Perf smoke: compare a BENCH_*.json against a committed baseline.
 
 Usage: compare_bench.py CURRENT.json BASELINE.json [--tolerance 0.2]
-                        [--skip-unless KEY]
 
 The baseline file lists only the keys worth gating on — structural numbers
 (syscalls per packet, payload copies per byte) that are stable run over run,
@@ -11,11 +10,6 @@ band.  Every baseline key must exist in the current document and lie within
 the relative tolerance of the baseline value; keys present in the current
 document but not in the baseline are ignored.  Exits non-zero on the first
 report of any violation (all keys are still printed).
-
---skip-unless KEY gates the whole comparison on a capability flag in the
-CURRENT document: when KEY is missing, zero, or falsy there (e.g.
-uring_supported on a kernel without io_uring), the script prints SKIPPED and
-exits 0 instead of failing on keys the run could not produce.
 """
 
 import argparse
@@ -29,19 +23,12 @@ def main() -> int:
     ap.add_argument("baseline")
     ap.add_argument("--tolerance", type=float, default=0.2,
                     help="allowed relative deviation (0.2 = +/-20%%)")
-    ap.add_argument("--skip-unless", metavar="KEY", default=None,
-                    help="skip (exit 0) unless KEY is truthy in CURRENT")
     args = ap.parse_args()
 
     with open(args.current) as f:
         current = json.load(f)
     with open(args.baseline) as f:
         baseline = json.load(f)
-
-    if args.skip_unless is not None and not current.get(args.skip_unless):
-        print(f"SKIPPED: {args.current} has no truthy "
-              f"'{args.skip_unless}' — comparison not applicable here")
-        return 0
 
     skipped_meta = {"git_sha", "generated_utc"}
     failures = 0

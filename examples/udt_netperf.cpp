@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "udt/multiplexer.hpp"
 #include "udt/socket.hpp"
 
 int main(int argc, char** argv) {
@@ -64,10 +65,18 @@ int main(int argc, char** argv) {
     while (!stop) server->recv(buf, std::chrono::milliseconds{200});
   });
 
+  // Socket buffers as the kernel granted them (it caps what the
+  // multiplexer asks for at net.core.rmem_max / wmem_max).
+  const auto rx_mux = server->multiplexer();
+  std::printf("receiver port: rcvbuf %d B, sndbuf %d B granted\n",
+              rx_mux->rcvbuf_bytes(), rx_mux->sndbuf_bytes());
   // forfeit(us): pacing schedule the sender gave up that second because
   // its rounds were released more than one batch late (host too slow).
-  std::printf("%6s %12s %10s %10s %10s %12s %12s\n", "t(s)", "Mb/s", "rtx",
-              "naks", "rtt(ms)", "period(us)", "forfeit(us)");
+  // kdrops: datagrams the receiver's kernel dropped on a full socket
+  // queue (cumulative SO_RXQ_OVFL count) — loss no injector caused.
+  std::printf("%6s %12s %10s %10s %10s %12s %12s %8s\n", "t(s)", "Mb/s",
+              "rtx", "naks", "rtt(ms)", "period(us)", "forfeit(us)",
+              "kdrops");
   std::uint64_t last_bytes = 0;
   double last_forfeit_us = 0.0;
   for (int t = 1; t <= static_cast<int>(seconds); ++t) {
@@ -77,10 +86,11 @@ int main(int argc, char** argv) {
     const double mbps =
         static_cast<double>(p.bytes_delivered - last_bytes) * 8.0 / 1e6;
     last_bytes = p.bytes_delivered;
-    std::printf("%6d %12.1f %10llu %10llu %10.2f %12.2f %12.0f\n", t, mbps,
-                (unsigned long long)c.retransmitted,
+    std::printf("%6d %12.1f %10llu %10llu %10.2f %12.2f %12.0f %8llu\n", t,
+                mbps, (unsigned long long)c.retransmitted,
                 (unsigned long long)c.naks_recv, p.rtt_ms, c.send_period_us,
-                c.pacing_forfeit_us - last_forfeit_us);
+                c.pacing_forfeit_us - last_forfeit_us,
+                (unsigned long long)rx_mux->kernel_rx_drops());
     last_forfeit_us = c.pacing_forfeit_us;
   }
   stop = true;

@@ -124,16 +124,8 @@ void SndBuffer::mark_dead(std::int64_t first, std::int64_t end) {
     Chunk& c = ring_[ring_pos(i)];
     if (c.dead) continue;
     bytes_ -= c.bytes().size();
-    if (!c.owned.empty()) {
-      if (pin_covers(i)) {
-        // Same barrier rule as ack_up_to: an in-flight send may still hold
-        // iovecs into this storage.
-        parked_.push_back(Parked{next_pin_token_, std::move(c.owned)});
-      } else {
-        recycle(std::move(c.owned));
-      }
-      c.owned.clear();
-    }
+    release_storage(i, std::move(c.owned));
+    c.owned.clear();
     c.view = {};
     c.dead = true;
   }
@@ -149,19 +141,8 @@ void SndBuffer::ack_up_to(std::int64_t index) {
   while (base_index_ < index && count_ > 0) {
     Chunk& c = ring_[head_];
     bytes_ -= c.bytes().size();
-    if (!c.owned.empty()) {
-      if (pin_covers(base_index_)) {
-        // An in-flight send may hold iovecs into this storage: park it until
-        // every pin that could reference it is released.  Only pins already
-        // issued (token < next_pin_token_) can cover it, hence the barrier.
-        // (Borrowed views need no parking — the overlapped caller is itself
-        // blocked on pinned_below() and keeps the memory alive.)
-        parked_.push_back(Parked{next_pin_token_, std::move(c.owned)});
-      } else {
-        recycle(std::move(c.owned));
-      }
-      c.owned.clear();
-    }
+    release_storage(base_index_, std::move(c.owned));
+    c.owned.clear();
     c.view = {};
     c.msg_word = 0;
     c.dead = false;
@@ -186,45 +167,30 @@ void SndBuffer::disown_views(std::int64_t first, std::int64_t end) {
   }
 }
 
-bool SndBuffer::pin_covers(std::int64_t index) const {
-  for (const PinRange& p : pins_) {
-    if (index >= p.first && index < p.end) return true;
+void SndBuffer::release_storage(std::int64_t index,
+                                std::vector<std::uint8_t>&& storage) {
+  if (storage.empty()) return;
+  // An in-flight send may hold iovecs into pinned storage: park it until
+  // unpin().  (Borrowed views need no parking — the overlapped caller is
+  // itself blocked on pinned_below() and keeps the memory alive.)
+  if (pin_covers(index)) {
+    parked_.push_back(std::move(storage));
+  } else {
+    recycle(std::move(storage));
   }
-  return false;
 }
 
-std::uint64_t SndBuffer::pin(std::int64_t first, std::int64_t end) {
-  pins_.push_back(PinRange{next_pin_token_, first, end});
-  return next_pin_token_++;
+void SndBuffer::pin(std::int64_t first, std::int64_t end) {
+  pin_first_ = first;
+  pin_end_ = end;
 }
 
-bool SndBuffer::unpin(std::uint64_t token) {
-  bool had = false;
-  for (std::size_t i = 0; i < pins_.size(); ++i) {
-    if (pins_[i].token == token) {
-      pins_.erase(pins_.begin() + static_cast<std::ptrdiff_t>(i));
-      had = true;
-      break;
-    }
-  }
-  if (!had) return false;
-  // Recycle every parked chunk no surviving pin can reference: a chunk
-  // parked at barrier B is only reachable by pins with token < B.
-  std::uint64_t min_active = next_pin_token_;
-  for (const PinRange& p : pins_) min_active = std::min(min_active, p.token);
-  std::erase_if(parked_, [&](Parked& pk) {
-    if (pk.barrier > min_active) return false;
-    recycle(std::move(pk.storage));
-    return true;
-  });
+bool SndBuffer::unpin() {
+  if (pin_first_ >= pin_end_) return false;
+  pin_first_ = pin_end_ = 0;
+  for (auto& storage : parked_) recycle(std::move(storage));
+  parked_.clear();
   return true;
-}
-
-bool SndBuffer::pinned_below(std::int64_t end) const {
-  for (const PinRange& p : pins_) {
-    if (p.first < end) return true;
-  }
-  return false;
 }
 
 // -------------------------------------------------------------- RecvSlab ---

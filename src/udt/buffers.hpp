@@ -83,22 +83,20 @@ class SndBuffer {
   // --- zero-copy send pinning ------------------------------------------
   // The sender pins [first, end) before dropping the socket lock to pass
   // iovecs into those chunks to the kernel.  An ACK that lands while the
-  // I/O is in flight still advances base_index_, but the pinned chunks'
-  // storage is parked rather than freed, so the in-flight iovecs stay
-  // valid.  Several pins may be active at once: the io_uring datapath keeps
-  // a batch pinned until its completion is reaped, and the next pacing
-  // round pins the following range before that happens.  pin() returns a
-  // token; unpin(token) (called with the lock re-held) releases that one
-  // pin, recycles whatever parked storage no surviving pin can still
-  // reference, and returns whether the token was live — the caller uses
-  // that to wake overlapped senders blocked on pinned_below().
-  [[nodiscard]] std::uint64_t pin(std::int64_t first, std::int64_t end);
-  bool unpin(std::uint64_t token);
-  // True while any pin could still reference a chunk below `end`.
+  // syscall is in flight still advances base_index_, but the pinned
+  // chunks' storage is parked rather than freed, so the in-flight iovecs
+  // stay valid.  One range at most: only the socket's tx round pins, and
+  // it unpins (with the lock re-held) before its next round.  unpin()
+  // recycles the parked storage and returns whether a pin was active — the
+  // caller uses that to wake overlapped senders blocked on pinned_below().
+  void pin(std::int64_t first, std::int64_t end);
+  bool unpin();
+  // True while the pin could still reference a chunk below `end`.
   // Overlapped sends must not return to the caller (whose memory the
   // chunks borrow) until this clears.
-  [[nodiscard]] bool pinned_below(std::int64_t end) const;
-  [[nodiscard]] std::size_t active_pins() const { return pins_.size(); }
+  [[nodiscard]] bool pinned_below(std::int64_t end) const {
+    return pin_first_ < pin_end_ && pin_first_ < end;
+  }
 
   [[nodiscard]] std::int64_t first_index() const { return base_index_; }
   [[nodiscard]] std::int64_t end_index() const {
@@ -144,26 +142,16 @@ class SndBuffer {
   std::size_t bytes_ = 0;
   // Recycled chunk storage: add() reuses these instead of allocating.
   std::vector<std::vector<std::uint8_t>> free_store_;
-  // One in-flight pinned range.  The vector stays tiny (one entry per
-  // in-flight send batch), so linear scans beat any indexed structure.
-  struct PinRange {
-    std::uint64_t token;
-    std::int64_t first;
-    std::int64_t end;
-  };
-  std::vector<PinRange> pins_;
-  std::uint64_t next_pin_token_ = 1;
-  // Storage of chunks acked while pinned, tagged with the pin-token barrier
-  // at park time: only pins created before the barrier can hold iovecs into
-  // the chunk, so it recycles once every such pin is gone — without waiting
-  // for later, unrelated pins (which would grow parked_ without bound under
-  // continuously pipelined sends).
-  struct Parked {
-    std::uint64_t barrier;
-    std::vector<std::uint8_t> storage;
-  };
-  std::vector<Parked> parked_;
-  [[nodiscard]] bool pin_covers(std::int64_t index) const;
+  // The in-flight pinned range [pin_first_, pin_end_); empty when unpinned.
+  std::int64_t pin_first_ = 0;
+  std::int64_t pin_end_ = 0;
+  // Storage of chunks released while pinned; recycled by unpin().
+  std::vector<std::vector<std::uint8_t>> parked_;
+  [[nodiscard]] bool pin_covers(std::int64_t index) const {
+    return index >= pin_first_ && index < pin_end_;
+  }
+  // Parks `storage` while the pin covers `index`, recycles it otherwise.
+  void release_storage(std::int64_t index, std::vector<std::uint8_t>&& storage);
 };
 
 // Preallocated arena of fixed-size receive slots shared between the channel

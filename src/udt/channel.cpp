@@ -1,7 +1,5 @@
 #include "udt/channel.hpp"
 
-#include "udt/channel_uring.hpp"
-
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/udp.h>
@@ -99,8 +97,6 @@ std::optional<Endpoint> Endpoint::resolve(const std::string& host,
   return ep;
 }
 
-UdpChannel::UdpChannel() = default;
-
 UdpChannel::~UdpChannel() { close(); }
 
 UdpChannel::UdpChannel(UdpChannel&& other) noexcept
@@ -108,18 +104,13 @@ UdpChannel::UdpChannel(UdpChannel&& other) noexcept
       local_port_(other.local_port_),
       faults_(std::move(other.faults_)),
       gro_enabled_(other.gro_enabled_.load()),
-      recv_timeout_us_(other.recv_timeout_us_),
       gso_ok_(other.gso_ok_.load()),
       gather_scratch_(std::move(other.gather_scratch_)),
       sent_(other.sent_.load()),
       send_calls_(other.send_calls_.load()),
       recv_calls_(other.recv_calls_.load()),
-      gso_sends_(other.gso_sends_.load()) {
-  // The engine holds a back-pointer to its channel, so it cannot be moved;
-  // backends are selected after channels reach their final address (the
-  // multiplexer does this in start()), so dropping it here is safe.
-  other.uring_.reset();
-}
+      gso_sends_(other.gso_sends_.load()),
+      kernel_rx_drops_(other.kernel_rx_drops_.load()) {}
 
 UdpChannel& UdpChannel::operator=(UdpChannel&& other) noexcept {
   if (this != &other) {
@@ -128,14 +119,13 @@ UdpChannel& UdpChannel::operator=(UdpChannel&& other) noexcept {
     local_port_ = other.local_port_;
     faults_ = std::move(other.faults_);
     gro_enabled_ = other.gro_enabled_.load();
-    recv_timeout_us_ = other.recv_timeout_us_;
     gso_ok_ = other.gso_ok_.load();
     gather_scratch_ = std::move(other.gather_scratch_);
     sent_ = other.sent_.load();
     send_calls_ = other.send_calls_.load();
     recv_calls_ = other.recv_calls_.load();
     gso_sends_ = other.gso_sends_.load();
-    other.uring_.reset();
+    kernel_rx_drops_ = other.kernel_rx_drops_.load();
   }
   return *this;
 }
@@ -165,6 +155,12 @@ bool UdpChannel::open(std::uint16_t port, bool reuse_port) {
     return false;
   }
   local_port_ = ntohs(sa.sin_port);
+#if defined(SO_RXQ_OVFL)
+  // Best effort: without it kernel_rx_drops() simply stays 0.
+  const int one = 1;
+  (void)::setsockopt(fd_, SOL_SOCKET, SO_RXQ_OVFL, &one, sizeof one);
+#endif
+  kernel_rx_drops_.store(0, std::memory_order_relaxed);
   // UDTR_NO_GSO is the operational kill-switch (and the CI fallback job):
   // with it set every send takes the plain sendmmsg path from the start.
   gso_ok_.store(std::getenv("UDTR_NO_GSO") == nullptr,
@@ -195,9 +191,6 @@ bool UdpChannel::attach_reuseport_steering(unsigned shards) {
 }
 
 void UdpChannel::close() {
-  // The ring (with its in-flight recvmsg SQEs into slab slots) must die
-  // before the socket fd it targets.
-  uring_.reset();
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -228,7 +221,6 @@ bool UdpChannel::enable_gro() {
 }
 
 bool UdpChannel::set_recv_timeout(std::chrono::microseconds timeout) {
-  recv_timeout_us_ = timeout;  // mirrored for the uring timed CQ wait
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(timeout.count() / 1000000);
   tv.tv_usec = static_cast<suseconds_t>(timeout.count() % 1000000);
@@ -242,6 +234,22 @@ bool UdpChannel::set_buffer_sizes(int snd_bytes, int rcv_bytes) {
                               sizeof rcv_bytes) == 0;
   return a && b;
 }
+
+namespace {
+int granted_bytes(int fd, int opt) {
+  int v = 0;
+  socklen_t len = sizeof v;
+  if (fd < 0 || ::getsockopt(fd, SOL_SOCKET, opt, &v, &len) != 0) return 0;
+#if defined(__linux__)
+  v /= 2;
+#endif
+  return v;
+}
+}  // namespace
+
+int UdpChannel::rcvbuf_bytes() const { return granted_bytes(fd_, SO_RCVBUF); }
+
+int UdpChannel::sndbuf_bytes() const { return granted_bytes(fd_, SO_SNDBUF); }
 
 void UdpChannel::set_fault_injector(std::shared_ptr<FaultInjector> faults) {
   faults_ = std::move(faults);
@@ -545,10 +553,11 @@ UdpChannel::RecvBatchResult UdpChannel::recv_batch(std::span<RecvSlot> slots) {
     std::array<mmsghdr, kChunk> msgs{};
     std::array<iovec, kChunk> iovs{};
     std::array<sockaddr_in, kChunk> addrs{};
-#if UDTR_HAVE_UDP_OFFLOAD
-    // Per-message control space for the UDP_GRO segment-size cmsg.
-    std::array<std::array<char, CMSG_SPACE(sizeof(int))>, kChunk> ctrls;
-#endif
+    // Per-message control space for the UDP_GRO segment-size cmsg and the
+    // SO_RXQ_OVFL drop counter.
+    constexpr std::size_t kCtrlBytes =
+        CMSG_SPACE(sizeof(int)) + CMSG_SPACE(sizeof(std::uint32_t));
+    alignas(cmsghdr) std::array<std::array<char, kCtrlBytes>, kChunk> ctrls;
     for (std::size_t i = 0; i < n; ++i) {
       iovs[i].iov_base = slots[base + i].buf.data();
       iovs[i].iov_len = slots[base + i].buf.size();
@@ -556,12 +565,8 @@ UdpChannel::RecvBatchResult UdpChannel::recv_batch(std::span<RecvSlot> slots) {
       msgs[i].msg_hdr.msg_iovlen = 1;
       msgs[i].msg_hdr.msg_name = &addrs[i];
       msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-#if UDTR_HAVE_UDP_OFFLOAD
-      if (gro_enabled_) {
-        msgs[i].msg_hdr.msg_control = ctrls[i].data();
-        msgs[i].msg_hdr.msg_controllen = ctrls[i].size();
-      }
-#endif
+      msgs[i].msg_hdr.msg_control = ctrls[i].data();
+      msgs[i].msg_hdr.msg_controllen = ctrls[i].size();
     }
     // One syscall per wakeup: block (SO_RCVTIMEO-bounded, §4.8) until at
     // least one datagram arrives, then take everything already queued.
@@ -578,22 +583,27 @@ UdpChannel::RecvBatchResult UdpChannel::recv_batch(std::span<RecvSlot> slots) {
     }
     for (int i = 0; i < std::max(got, 0); ++i) {
       std::size_t gro = 0;
+      for (cmsghdr* cm = CMSG_FIRSTHDR(&msgs[i].msg_hdr); cm != nullptr;
+           cm = CMSG_NXTHDR(&msgs[i].msg_hdr, cm)) {
+#if defined(SO_RXQ_OVFL)
+        if (cm->cmsg_level == SOL_SOCKET && cm->cmsg_type == SO_RXQ_OVFL) {
+          std::uint32_t drops = 0;
+          std::memcpy(&drops, CMSG_DATA(cm), sizeof drops);
+          kernel_rx_drops_.store(drops, std::memory_order_relaxed);
+        }
+#endif
 #if UDTR_HAVE_UDP_OFFLOAD
-      if (gro_enabled_) {
-        for (cmsghdr* cm = CMSG_FIRSTHDR(&msgs[i].msg_hdr); cm != nullptr;
-             cm = CMSG_NXTHDR(&msgs[i].msg_hdr, cm)) {
-          if (cm->cmsg_level == SOL_UDP && cm->cmsg_type == UDP_GRO) {
-            int v = 0;
-            std::memcpy(&v, CMSG_DATA(cm), sizeof v);
-            // The kernel reports the segment grid even for a lone datagram;
-            // a value covering the whole payload means "not coalesced".
-            if (v > 0 && static_cast<std::size_t>(v) < msgs[i].msg_len) {
-              gro = static_cast<std::size_t>(v);
-            }
+        if (cm->cmsg_level == SOL_UDP && cm->cmsg_type == UDP_GRO) {
+          int v = 0;
+          std::memcpy(&v, CMSG_DATA(cm), sizeof v);
+          // The kernel reports the segment grid even for a lone datagram;
+          // a value covering the whole payload means "not coalesced".
+          if (v > 0 && static_cast<std::size_t>(v) < msgs[i].msg_len) {
+            gro = static_cast<std::size_t>(v);
           }
         }
-      }
 #endif
+      }
       if (accept_raw(slots, filled, base + static_cast<std::size_t>(i),
                      msgs[i].msg_len, Endpoint::from_sockaddr(addrs[i]))) {
         slots[filled].gro_size = faults_ ? 0 : gro;
@@ -686,13 +696,6 @@ UdpChannel::RxState::~RxState() {
 
 UdpChannel::RecvBatchResult UdpChannel::rx_round(RxState& st, RxSinkFn sink,
                                                  void* ctx) {
-  if (uring_) return uring_->rx_round(st, sink, ctx);
-  return rx_round_mmsg(st, sink, ctx);
-}
-
-UdpChannel::RecvBatchResult UdpChannel::rx_round_mmsg(RxState& st,
-                                                      RxSinkFn sink,
-                                                      void* ctx) {
   const std::size_t batch = std::max<std::size_t>(st.batch, 1);
   if (st.slots.size() != batch) {
     st.slots.resize(batch);
@@ -731,42 +734,6 @@ UdpChannel::RecvBatchResult UdpChannel::rx_round_mmsg(RxState& st,
     }
   }
   return res;
-}
-
-bool UdpChannel::send_gather_async(const Endpoint& dst,
-                                   std::span<const TxDatagram> dgrams,
-                                   bool allow_gso, TxDoneFn done, void* ctx,
-                                   std::uint64_t token) {
-  // Faults take the synchronous per-datagram injector path in send_gather.
-  if (!uring_ || faults_ != nullptr || dgrams.empty()) return false;
-  return uring_->send_gather_async(dst, dgrams, allow_gso, done, ctx, token);
-}
-
-void UdpChannel::drain_tx(void* ctx) {
-  if (uring_) uring_->drain_tx(ctx);
-}
-
-bool UdpChannel::uring_supported() { return UringEngine::probe(); }
-
-std::uint64_t UdpChannel::uring_rx_backpressure() const {
-  return uring_ != nullptr ? uring_->rx_backpressure() : 0;
-}
-
-bool UdpChannel::set_io_backend(IoBackend b) {
-  if (b == IoBackend::kMmsg) {
-    uring_.reset();
-    return true;
-  }
-  if (fd_ < 0) return false;
-  if (!uring_supported()) {
-    uring_.reset();
-    return b == IoBackend::kAuto;  // auto falls back quietly; kUring refuses
-  }
-  if (uring_) return true;
-  auto eng = std::make_unique<UringEngine>(this);
-  if (!eng->init()) return b == IoBackend::kAuto;
-  uring_ = std::move(eng);
-  return true;
 }
 
 }  // namespace udtr::udt

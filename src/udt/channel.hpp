@@ -29,18 +29,6 @@
 
 namespace udtr::udt {
 
-class UringEngine;
-
-// Datapath backend for a channel's hot paths (rx_round / gather send).
-//   kMmsg : sendmmsg/recvmmsg (+ GSO/GRO) — today's path, byte-for-byte.
-//   kUring: raw io_uring submission/completion rings — batched sendmsg
-//           SQEs gathered from pinned SndBuffer chunks (pins released on
-//           CQE reap, not syscall return) and a multishot recvmsg fed by a
-//           registered buffer ring carved from the RecvSlab arena.
-//   kAuto : probe io_uring support at first bind, fall back to kMmsg at
-//           runtime (and whenever UDTR_NO_URING is set).
-enum class IoBackend { kAuto, kMmsg, kUring };
-
 struct Endpoint {
   std::uint32_t ip_host_order = 0;  // IPv4
   std::uint16_t port = 0;
@@ -63,7 +51,7 @@ struct RecvResult {
 
 class UdpChannel {
  public:
-  UdpChannel();  // out-of-line: uring_ holds an incomplete UringEngine here
+  UdpChannel() = default;
   ~UdpChannel();
   UdpChannel(const UdpChannel&) = delete;
   UdpChannel& operator=(const UdpChannel&) = delete;
@@ -71,6 +59,8 @@ class UdpChannel {
   UdpChannel& operator=(UdpChannel&& other) noexcept;
 
   // Binds to 127.0.0.1:`port` (0 = ephemeral).  Returns false on error.
+  // Where the kernel supports it, SO_RXQ_OVFL is set so every received
+  // datagram carries the socket's cumulative overflow-drop count.
   // With `reuse_port`, SO_REUSEPORT is set before the bind so several
   // channels (the multiplexer's shards) can share one port; the kernel
   // load-balances between them unless a steering program is attached.
@@ -89,8 +79,14 @@ class UdpChannel {
 
   // Sets the receive timeout used by recv_from (SO_RCVTIMEO).
   bool set_recv_timeout(std::chrono::microseconds timeout);
-  // Enlarged socket buffers for high-rate transfer.
+  // Enlarged socket buffers for high-rate transfer.  The kernel may grant
+  // less than asked (net.core.{r,w}mem_max); read the grant back below.
   bool set_buffer_sizes(int snd_bytes, int rcv_bytes);
+  // Granted SO_RCVBUF / SO_SNDBUF in the units set_buffer_sizes asks in
+  // (Linux reports twice that to cover bookkeeping; halved here).  0 when
+  // the fd is closed.
+  [[nodiscard]] int rcvbuf_bytes() const;
+  [[nodiscard]] int sndbuf_bytes() const;
 
   // Sends one datagram; returns bytes accepted or -1.  A datagram swallowed
   // by the fault injector still reports success — from the sender's point
@@ -167,7 +163,7 @@ class UdpChannel {
   // filtered individually, so per-datagram fault semantics are preserved.
   RecvBatchResult recv_batch(std::span<RecvSlot> slots);
 
-  // --- backend-neutral rx round (the mux shard rx loop's one entry point) --
+  // --- slab-backed rx round (the mux shard rx loop's one entry point) -----
   // One delivered datagram (or GRO super-datagram).  When `slab` is set the
   // bytes live in RecvSlab slot `slab_slot` and the sink may add_ref the
   // slot to keep them past the callback; otherwise the bytes are only valid
@@ -181,13 +177,12 @@ class UdpChannel {
   };
   using RxSinkFn = void (*)(void* ctx, const RxDelivery& d);
   // Per-caller receive state.  The caller fills slab/batch/slot_bytes once;
-  // the backend lazily builds the rest (mmsg: arming scratch; uring: the
-  // re-armed slot ring lives in the engine, keyed by this state's first use).
+  // rx_round lazily builds the arming scratch.
   struct RxState {
     std::shared_ptr<RecvSlab> slab;  // may be null: arena-only delivery
-    std::size_t batch = 0;           // max datagrams per round (mmsg width)
+    std::size_t batch = 0;           // max datagrams per round
     std::size_t slot_bytes = 0;      // per-slot capacity (GRO-sized or MSS)
-    // mmsg backend internals (lazily sized on first round).
+    // Armed slots (lazily sized on first round).
     std::vector<std::uint8_t> arena;
     std::vector<RecvSlot> slots;
     std::vector<int> slab_ids;
@@ -200,51 +195,15 @@ class UdpChannel {
   // returned).  count = callbacks made.
   RecvBatchResult rx_round(RxState& st, RxSinkFn sink, void* ctx);
 
-  // --- asynchronous gather send (uring backend only) ----------------------
-  // Called once per completed send_gather_async batch, after the kernel has
-  // retired every SQE of the batch — the moment pinned SndBuffer chunks may
-  // be unpinned.  Invoked from whichever thread reaps the CQEs.
-  using TxDoneFn = void (*)(void* ctx, std::uint64_t token);
-  // Submits the whole batch as io_uring sendmsg SQEs whose iovecs point into
-  // the caller's pinned chunks; `done(ctx, token)` fires when the last CQE
-  // is reaped.  Returns false (and does nothing) when the uring backend is
-  // inactive, a fault injector is installed, or the ring is momentarily
-  // full — the caller then sends synchronously via send_gather and unpins
-  // itself.  The spans must stay valid until `done` runs.
-  bool send_gather_async(const Endpoint& dst, std::span<const TxDatagram> dgrams,
-                         bool allow_gso, TxDoneFn done, void* ctx,
-                         std::uint64_t token);
-  // Blocks until no in-flight async batch with this ctx remains (their done
-  // callbacks have run).  Never reaps CQEs itself — it waits on the reaping
-  // thread — and gives up after ~1s on a wedged ring, orphaning the records.
-  void drain_tx(void* ctx);
-
-  // --- backend selection --------------------------------------------------
-  // Selects the datapath backend; call after open().  kAuto/kUring probe
-  // io_uring support (kUring returns false when unsupported; kAuto quietly
-  // stays on mmsg).  UDTR_NO_URING forces mmsg regardless.
-  bool set_io_backend(IoBackend b);
-  [[nodiscard]] bool uring_active() const { return uring_ != nullptr; }
-  // One cached process-wide probe: kernel accepts the rings + features we
-  // need (EXT_ARG, NODROP, SINGLE_MMAP), registers a provided-buffer ring
-  // and arms a multishot recvmsg — and UDTR_NO_URING is unset.
-  [[nodiscard]] static bool uring_supported();
-  // Receive-buffer starvation events on the uring backend (0 on mmsg):
-  // ENOBUFS completions (the provided ring ran dry mid-burst) plus
-  // deliveries recycled onto the copy arena because consumers held every
-  // RecvSlab slot.  Neither loses data — arrivals wait in the socket
-  // buffer or arrive in copy mode — but sustained growth means the slab is
-  // undersized for the receive window.
-  [[nodiscard]] std::uint64_t uring_rx_backpressure() const;
-
-  // Extra bytes every receive buffer must carry beyond the payload
-  // capacity: the uring backend's multishot recvmsg writes a per-datagram
-  // header (io_uring_recvmsg_out + name + cmsg areas, 56 bytes) ahead of
-  // the payload inside the provided buffer.
-  static constexpr std::size_t kUringRxHeadroom = 64;
-
   [[nodiscard]] std::uint64_t send_syscalls() const { return send_calls_; }
   [[nodiscard]] std::uint64_t recv_syscalls() const { return recv_calls_; }
+  // Datagrams the kernel dropped because this socket's receive queue was
+  // full: the latest cumulative SO_RXQ_OVFL count seen on a recv_batch.
+  // The kernel stamps each datagram with the count at enqueue time, so a
+  // drop shows only once a datagram queued after it has been received.
+  [[nodiscard]] std::uint32_t kernel_rx_drops() const {
+    return kernel_rx_drops_.load(std::memory_order_relaxed);
+  }
 
   // Installs (or clears, with nullptr) the fault injector both directions
   // pass through.  The caller may keep its reference to flip faults on and
@@ -258,11 +217,6 @@ class UdpChannel {
   [[nodiscard]] std::uint64_t datagrams_dropped() const;
 
  private:
-  friend class UringEngine;
-
-  // mmsg implementation of rx_round (also the uring backend's owed-datagram
-  // and fallback path).
-  RecvBatchResult rx_round_mmsg(RxState& st, RxSinkFn sink, void* ctx);
   // Accepts the raw datagram in slot `from` into slot `filled` after the
   // per-datagram recv fault filter; returns false if it was swallowed.
   bool accept_raw(std::span<RecvSlot> slots, std::size_t filled,
@@ -281,11 +235,6 @@ class UdpChannel {
   // thread reads it on the gather path (probe/latch consistency rule — same
   // treatment as gso_ok_).
   std::atomic<bool> gro_enabled_{false};
-  // Receive timeout mirrored from set_recv_timeout for the uring backend's
-  // timed CQ wait (SO_RCVTIMEO does not apply to ring-submitted recvmsg).
-  std::chrono::microseconds recv_timeout_us_{std::chrono::microseconds{0}};
-  // Non-null iff the uring backend is active on this channel.
-  std::unique_ptr<UringEngine> uring_;
   // Runtime GSO health: starts true (unless UDTR_NO_GSO), latched false the
   // first time the kernel rejects UDP_SEGMENT.  Atomic only for the cheap
   // cross-thread read; all writes come from the sending thread.
@@ -303,12 +252,12 @@ class UdpChannel {
   std::atomic<std::uint64_t> send_calls_{0};
   std::atomic<std::uint64_t> recv_calls_{0};
   std::atomic<std::uint64_t> gso_sends_{0};
+  std::atomic<std::uint32_t> kernel_rx_drops_{0};
 };
 
 // Length of the longest leading run of `dgrams[i..]` that one GSO
 // super-datagram can carry: equal wire sizes (except a shorter tail), run
 // fits kGsoMaxBytes/kGsoMaxSegments, and keep_with_next pairs never split.
-// Shared by the mmsg and uring send paths.
 [[nodiscard]] std::size_t gso_run_length(
     std::span<const UdpChannel::TxDatagram> dgrams, std::size_t i);
 

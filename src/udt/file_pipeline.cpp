@@ -17,10 +17,8 @@ namespace udtr::udt {
 namespace {
 
 // Chunk alignment (and allocation granularity): 64 KB keeps the buffers
-// friendly to direct-ish I/O paths and page-aligned for io_uring.
+// page-aligned and friendly to direct-ish I/O paths.
 constexpr std::size_t kChunkAlign = std::size_t{64} << 10;
-// In-flight positional ops per io_uring submit on either stage.
-constexpr std::size_t kFileIoBatch = 4;
 // Payloads gathered into one positional write (Linux IOV_MAX).
 constexpr std::size_t kSinkIovMax = 1024;
 constexpr std::size_t kReadError = std::numeric_limits<std::size_t>::max();
@@ -70,14 +68,12 @@ FileSource::FileSource(const std::string& path, std::uint64_t offset,
     eof_ = true;
     return;
   }
-  if (cfg.use_uring) uring_active_ = ring_.open(16);
   reader_ = std::thread([this] { reader_loop(); });
 }
 
 FileSource::~FileSource() {
   stop();
   if (reader_.joinable()) reader_.join();
-  ring_.close();
   for (auto* b : bufs_) std::free(b);
   if (fd_ >= 0) ::close(fd_);
 }
@@ -102,102 +98,41 @@ std::size_t FileSource::fill_pread(int id, std::uint64_t off,
 void FileSource::reader_loop() {
   std::uint64_t off = offset_;
   const std::uint64_t end = offset_ + planned_;
-  struct Op {
-    int id;
-    std::uint64_t off;
-    std::size_t want;
-  };
-  std::vector<Op> ops;
-  std::vector<std::size_t> got;
-  std::vector<FileUring::Completion> cqes;
-  while (true) {
-    if (off >= end) {
-      std::lock_guard lk{mu_};
-      eof_ = true;
-      filled_cv_.notify_all();
-      return;
-    }
-    // Claim free chunks — block for the first (ring exhaustion is the ACK
-    // clock's backpressure), take up to a batch when io_uring can overlap
-    // the reads.
-    ops.clear();
+  while (off < end) {
+    // Block for a free chunk: ring exhaustion is the ACK clock's
+    // backpressure on the disk reader.
+    int id = -1;
     {
       std::unique_lock lk{mu_};
       free_cv_.wait(lk, [&] { return stop_ || !free_.empty(); });
       if (stop_) return;
-      const std::size_t batch =
-          uring_active_ ? std::min(free_.size(), kFileIoBatch) : 1;
-      for (std::size_t i = 0; i < batch && off < end; ++i) {
-        const int id = free_.back();
-        free_.pop_back();
-        const auto want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(fill_bytes_, end - off));
-        ops.push_back(Op{id, off, want});
-        off += want;
-      }
+      id = free_.back();
+      free_.pop_back();
     }
-    bool err = false;
-    got.assign(ops.size(), 0);
-    if (uring_active_) {
-      bool ok = true;
-      for (std::size_t i = 0; i < ops.size() && ok; ++i) {
-        ok = ring_.push_read(fd_, bufs_[static_cast<std::size_t>(ops[i].id)],
-                             ops[i].want, ops[i].off, i);
-      }
-      cqes.clear();
-      ok = ok && ring_.submit_and_wait(static_cast<unsigned>(ops.size()),
-                                       cqes) &&
-           cqes.size() >= ops.size();
-      if (ok) {
-        for (const auto& c : cqes) {
-          if (c.token >= ops.size()) continue;
-          if (c.res < 0) {
-            err = true;
-          } else {
-            got[c.token] = static_cast<std::size_t>(c.res);
-          }
-        }
-      } else {
-        // Ring refused the batch: finish this transfer on pread.
-        uring_active_ = false;
-      }
-    }
-    if (!uring_active_ && !err) {
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const std::size_t n = fill_pread(ops[i].id, ops[i].off, ops[i].want);
-        if (n == kReadError) {
-          err = true;
-          break;
-        }
-        got[i] = n;
-        if (n < ops[i].want) break;
-      }
-    }
-    std::size_t delivered = 0;
-    for (const std::size_t g : got) {
-      if (g != kReadError) delivered += g;
-    }
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(fill_bytes_, end - off));
+    const std::size_t got = fill_pread(id, off, want);
+    const bool err = got == kReadError;
     // The throttle IS the emulated disk: data becomes available only at
     // disk rate, before it is handed to the wire.
-    throttle_.consume(delivered);
-    {
-      std::lock_guard lk{mu_};
-      bool ended = err;
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (err || ended || got[i] == 0) {
-          free_.push_back(ops[i].id);
-          ended = true;
-          continue;
-        }
-        filled_.push_back(Filled{ops[i].id, ops[i].off, got[i]});
-        if (got[i] < ops[i].want) ended = true;
-      }
-      if (err) io_error_ = true;
-      if (ended || err) eof_ = true;
-      filled_cv_.notify_all();
-      if (ended || err) return;
+    if (!err) throttle_.consume(got);
+    std::lock_guard lk{mu_};
+    if (err || got == 0) {
+      free_.push_back(id);
+    } else {
+      filled_.push_back(Filled{id, off, got});
     }
+    filled_cv_.notify_all();
+    if (err || got < want) {
+      if (err) io_error_ = true;
+      eof_ = true;
+      return;
+    }
+    off += want;
   }
+  std::lock_guard lk{mu_};
+  eof_ = true;
+  filled_cv_.notify_all();
 }
 
 std::optional<FileSource::Chunk> FileSource::next(
@@ -228,8 +163,6 @@ bool FileSource::io_error() {
   return io_error_;
 }
 
-bool FileSource::used_uring() { return ring_.is_open(); }
-
 void FileSource::stop() {
   std::lock_guard lk{mu_};
   stop_ = true;
@@ -245,7 +178,6 @@ FileSink::FileSink(std::string path, std::uint64_t expected_len,
       expected_(expected_len),
       cfg_(cfg),
       throttle_(cfg.throttle_mbps) {
-  if (cfg.use_uring) uring_active_ = ring_.open(32);
   writer_ = std::thread([this] { writer_loop(); });
 }
 
@@ -305,7 +237,6 @@ bool FileSink::write_pwritev(struct iovec* iov, std::size_t nr,
 void FileSink::writer_loop() {
   std::uint64_t off = 0;
   std::vector<RcvBuffer::Taken> items;
-  std::vector<FileUring::Completion> cqes;
   std::vector<struct iovec> iov(kSinkIovMax);
   while (true) {
     bool dead;
@@ -346,20 +277,7 @@ void FileSink::writer_loop() {
           iov[k].iov_len = t.len;
           vbytes += t.len;
         }
-        bool wrote = false;
-        if (uring_active_) {
-          // iov lives on this frame across the synchronous submit_and_wait.
-          cqes.clear();
-          wrote = ring_.push_writev(fd_, iov.data(),
-                                    static_cast<unsigned>(n), o, 0) &&
-                  ring_.submit_and_wait(1, cqes) && !cqes.empty() &&
-                  cqes.front().res == static_cast<std::int32_t>(vbytes);
-          // A refused or short uring write is rewritten below with
-          // identical bytes at identical offsets — idempotent.
-          if (!wrote) uring_active_ = false;
-        }
-        if (!wrote) wrote = write_pwritev(iov.data(), n, o, vbytes);
-        ok = wrote;
+        ok = write_pwritev(iov.data(), n, o, vbytes);
         next_item += n;
         o += vbytes;
       }
@@ -428,7 +346,6 @@ bool FileSink::finish(bool create_if_empty) {
       ::close(fd);
     }
   }
-  ring_.close();
   return !io_error_;
 }
 
@@ -441,7 +358,5 @@ bool FileSink::io_error() {
   std::lock_guard lk{mu_};
   return io_error_;
 }
-
-bool FileSink::used_uring() { return ring_.is_open(); }
 
 }  // namespace udtr::udt

@@ -4,8 +4,8 @@
 // I/O speed"; getting there requires the disk and the wire to overlap, and
 // the payload bytes to move without staging copies:
 //
-//   FileSource (sender): a reader thread pread()s — or batches io_uring READ
-//   SQEs — into a ring of 64 KB-aligned chunks sized in MSS multiples.  The
+//   FileSource (sender): a reader thread pread()s into a ring of 64
+//   KB-aligned chunks sized in MSS multiples.  The
 //   socket borrows each filled chunk straight into SndBuffer
 //   (add_borrowed), so the gather/GSO wire path reads directly from the
 //   file-read buffers; a chunk returns to the ring when every packet cut
@@ -14,8 +14,8 @@
 //
 //   FileSink (receiver): a write-behind thread drains payloads the socket
 //   took from RcvBuffer *by reference* (RcvBuffer::Taken — moved slab
-//   references, not copies) and pwrite()s / io_uring WRITEs them at
-//   sequential offsets.  The destination file is opened lazily on the first
+//   references, not copies) and writes them with gathered pwritev() calls
+//   at sequential offsets.  The destination file is opened lazily on the first
 //   payload — a transfer that dies before any byte arrives never touches an
 //   existing file — then ftruncate-preallocated to the expected length and
 //   trimmed back if the transfer ends short.  A bounded queue makes a slow
@@ -31,6 +31,8 @@
 // page cache) are far faster.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -42,7 +44,6 @@
 #include <vector>
 
 #include "udt/buffers.hpp"
-#include "udt/channel_uring.hpp"
 
 namespace udtr::udt {
 
@@ -83,7 +84,6 @@ class FileSource {
     std::size_t chunk_bytes = std::size_t{256} << 10;
     int ring_chunks = 16;
     int payload_quantum = 1456;
-    bool use_uring = true;
     double throttle_mbps = 0.0;
   };
 
@@ -117,8 +117,6 @@ class FileSource {
   // No more chunks will ever come and none are pending delivery.
   [[nodiscard]] bool done();
   [[nodiscard]] bool io_error();
-  // True when the reader actually ran on io_uring (tests/bench visibility).
-  [[nodiscard]] bool used_uring();
 
   // Unblocks the reader and any next() caller; idempotent.  The destructor
   // calls it, but a caller that still holds chunk memory borrowed elsewhere
@@ -145,8 +143,6 @@ class FileSource {
   std::vector<std::uint8_t*> bufs_;
   Config cfg_;
   DiskThrottle throttle_;
-  FileUring ring_;
-  bool uring_active_ = false;  // reader thread only (until joined)
 
   std::mutex mu_;
   std::condition_variable free_cv_;    // reader waits for recycled chunks
@@ -167,7 +163,6 @@ class FileSink {
     // Queued-but-unwritten payload bound; enqueue() blocks at the cap so a
     // slow disk backs up into the protocol's flow control.
     std::size_t queue_max_bytes = std::size_t{4} << 20;
-    bool use_uring = true;
     double throttle_mbps = 0.0;
   };
 
@@ -195,7 +190,6 @@ class FileSink {
 
   [[nodiscard]] std::uint64_t bytes_written();
   [[nodiscard]] bool io_error();
-  [[nodiscard]] bool used_uring();
 
  private:
   void writer_loop();
@@ -210,9 +204,7 @@ class FileSink {
   std::uint64_t expected_ = 0;
   Config cfg_;
   DiskThrottle throttle_;
-  FileUring ring_;
-  int fd_ = -1;              // writer thread only until joined
-  bool uring_active_ = false;
+  int fd_ = -1;  // writer thread only until joined
 
   std::mutex mu_;
   std::condition_variable space_cv_;  // enqueue waits for queue drain

@@ -204,25 +204,6 @@ void Multiplexer::start() {
     if (cfg_.gso && sh->channel->enable_gro()) any_gro = true;
   }
   gro_ = any_gro;
-  // Datapath backend.  The uring slot ring assumes one rx-thread owner per
-  // channel, so it is enabled only when every shard owns its fd (kernel
-  // steering, or a single shard); the single-fd fallback — several shard
-  // threads sharing shard 0's channel — stays on mmsg.  All-or-nothing
-  // across shards so the two backends never mix on one port.
-  if (cfg_.io_backend != IoBackend::kMmsg &&
-      (steered_ || shards_.size() == 1)) {
-    bool all = true;
-    for (auto& sh : shards_) {
-      if (sh->channel && !sh->channel->set_io_backend(cfg_.io_backend)) {
-        all = false;
-      }
-    }
-    if (!all) {
-      for (auto& sh : shards_) {
-        if (sh->channel) sh->channel->set_io_backend(IoBackend::kMmsg);
-      }
-    }
-  }
   // Slot sizing keys off whether *any* fd may deliver coalesced buffers —
   // a short slot would make the kernel truncate a GRO burst.
   slot_bytes_ = gro_ ? kGroSlotBytes : plain_slot_bytes(cfg_.mss_bytes);
@@ -232,11 +213,7 @@ void Multiplexer::start() {
   syn_us_ = std::chrono::microseconds{
       static_cast<std::int64_t>(cfg_.syn_s * 1e6)};
   for (auto& sh : shards_) {
-    // Slots carry kUringRxHeadroom beyond the payload capacity: the uring
-    // backend's multishot recvmsg writes its per-datagram header at the
-    // front of the slot, and a max-size GRO burst must still fit behind it.
-    sh->slab = std::make_shared<RecvSlab>(
-        slot_bytes_ + UdpChannel::kUringRxHeadroom, slot_count);
+    sh->slab = std::make_shared<RecvSlab>(slot_bytes_, slot_count);
     sh->heap.reserve(256);
     sh->due_scratch.reserve(256);
   }
@@ -248,17 +225,9 @@ void Multiplexer::start() {
   }
 }
 
-bool Multiplexer::uring_active() const {
-  for (const auto& sh : shards_) {
-    if (sh->io == nullptr || !sh->io->uring_active()) return false;
-  }
-  return !shards_.empty();
-}
-
 bool Multiplexer::compatible(const SocketOptions& opts) const {
   return opts.faults == cfg_.faults &&
          std::clamp(opts.io_batch, 1, 64) == io_batch_ &&
-         opts.io_backend == cfg_.io_backend &&
          opts.gso == cfg_.gso && opts.syn_s == cfg_.syn_s &&
          plain_slot_bytes(opts.mss_bytes) <= slot_bytes_ &&
          resolve_mux_shards(opts) == shards_.size();
@@ -424,6 +393,14 @@ std::uint64_t Multiplexer::recv_syscalls() const {
   return n;
 }
 
+std::uint64_t Multiplexer::kernel_rx_drops() const {
+  std::uint64_t n = 0;
+  for (const auto& sh : shards_) {
+    if (sh->channel) n += sh->channel->kernel_rx_drops();
+  }
+  return n;
+}
+
 UdpChannel& Multiplexer::channel_for(std::uint32_t socket_id) {
   return *shard_for(socket_id).io;
 }
@@ -574,13 +551,9 @@ void Multiplexer::dispatch(std::span<const std::uint8_t> pkt,
 
 void Multiplexer::rx_loop(Shard& sh) {
   t_rx_shard = &sh;
-  // Same structure as the PR 4 receiver loop — slab-backed slots, one
-  // bounded drain per wakeup, in-place GRO segment walking — but routed
-  // through the channel's backend-neutral rx_round: the mmsg backend arms
-  // slots and calls recvmmsg exactly as this loop used to inline, the uring
-  // backend reaps CQEs off its re-armed recvmsg slot ring.  Either way each
-  // delivery lands in the sink below, and the post-receive timer check
-  // drains this shard's wheel in O(expired) instead of walking every
+  // Slab-backed slots, one bounded recvmmsg drain per wakeup (rx_round),
+  // in-place GRO segment walking in the sink below; the post-receive timer
+  // check drains this shard's wheel in O(expired) instead of walking every
   // socket.
   UdpChannel::RxState rxs;
   rxs.slab = sh.slab;

@@ -148,9 +148,6 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   // True when the kernel steers datagrams to shard fds by socket id
   // (SO_REUSEPORT + cBPF); false in the software-demux fallback.
   [[nodiscard]] bool kernel_steered() const { return steered_; }
-  // True when every shard channel runs the io_uring backend (selection is
-  // all-or-nothing at start()); false on mmsg, or after probe fallback.
-  [[nodiscard]] bool uring_active() const;
 
   // True when a socket with these options can share this multiplexer: same
   // fault injector (it is per-channel), same batching,
@@ -267,10 +264,21 @@ class Multiplexer : public std::enable_shared_from_this<Multiplexer> {
   [[nodiscard]] std::uint64_t timer_sweep_calls() const;
   [[nodiscard]] std::uint64_t timer_socket_sweeps() const;
   // UDP I/O system calls summed over the port's channels (each owning shard
-  // counted once, whichever backend is active) — the Table 3 "syscalls per
-  // packet" numerator.
+  // counted once) — the Table 3 "syscalls per packet" numerator.
   [[nodiscard]] std::uint64_t send_syscalls() const;
   [[nodiscard]] std::uint64_t recv_syscalls() const;
+  // Datagrams the kernel dropped on a full receive queue, summed over the
+  // port's channels (UdpChannel::kernel_rx_drops).  Loss the protocol sees
+  // as NAKs but the fault injector never caused.
+  [[nodiscard]] std::uint64_t kernel_rx_drops() const;
+  // Receive / send socket-buffer bytes the kernel granted the port's
+  // channels (UdpChannel::rcvbuf_bytes; every shard asks for the same).
+  [[nodiscard]] int rcvbuf_bytes() const {
+    return shards_[0]->channel->rcvbuf_bytes();
+  }
+  [[nodiscard]] int sndbuf_bytes() const {
+    return shards_[0]->channel->sndbuf_bytes();
+  }
 
   // make_shared needs a public constructor; Private keeps it unusable
   // outside the factory functions.

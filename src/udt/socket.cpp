@@ -380,34 +380,8 @@ std::size_t Socket::fill_tx_batch(double& period_s) {
   // Pin the covered index range before the caller drops the lock: an ACK
   // that lands during the unlocked syscall would otherwise free chunk
   // storage the gather iovecs still reference.
-  if (!tx_gather_.empty()) {
-    tx_pin_token_ = snd_buffer_.pin(pin_first, pin_end);
-  }
+  if (!tx_gather_.empty()) snd_buffer_.pin(pin_first, pin_end);
   return tx_gather_.size();
-}
-
-bool Socket::send_tx_batch(std::size_t count) {
-  Profiler* prof = opts_.enable_profiler ? &profiler_ : nullptr;
-  ScopedTimer t{prof, ProfUnit::kUdpIo};
-  // uring backend first: the batch leaves as sendmsg SQEs gathered from the
-  // pinned chunks and on_tx_reaped unpins when the last CQE lands.  Refused
-  // (mmsg backend, faults, ring momentarily full) -> sync path.
-  if (net_->send_gather_async(peer_, {tx_gather_.data(), count}, opts_.gso,
-                              &Socket::on_tx_reaped, this, tx_pin_token_)) {
-    return true;
-  }
-  net_->send_gather(peer_, {tx_gather_.data(), count}, opts_.gso);
-  return false;
-}
-
-void Socket::on_tx_reaped(void* ctx, std::uint64_t token) {
-  auto* self = static_cast<Socket*>(ctx);
-  std::lock_guard lk{self->state_mu_};
-  if (self->snd_buffer_.unpin(token)) {
-    if (self->snd_release_hook_) self->snd_release_hook_();
-    self->app_snd_cv_.notify_all();
-    self->poke_watchers();
-  }
 }
 
 Pacer::Clock::time_point Socket::tx_round() {
@@ -454,7 +428,11 @@ Pacer::Clock::time_point Socket::tx_round() {
       return Pacer::Clock::time_point::max();
     }
   }
-  const bool deferred = send_tx_batch(count);
+  {
+    ScopedTimer t{opts_.enable_profiler ? &profiler_ : nullptr,
+                  ProfUnit::kUdpIo};
+    net_->send_gather(peer_, {tx_gather_.data(), count}, opts_.gso);
+  }
   const auto forfeit = pacer_.schedule(
       std::chrono::nanoseconds{static_cast<std::int64_t>(period * 1e9)},
       static_cast<int>(count), release);
@@ -469,9 +447,8 @@ Pacer::Clock::time_point Socket::tx_round() {
           std::chrono::duration<double, std::micro>(forfeit).count();
     }
     // Syscall done: recycle any storage an ACK parked meanwhile and wake
-    // overlapped senders waiting on pinned_below().  A deferred batch
-    // unpins in on_tx_reaped instead.
-    if (!deferred && snd_buffer_.unpin(tx_pin_token_)) {
+    // overlapped senders waiting on pinned_below().
+    if (snd_buffer_.unpin()) {
       if (snd_release_hook_) snd_release_hook_();
       app_snd_cv_.notify_all();
       poke_watchers();
@@ -1457,7 +1434,6 @@ std::uint64_t Socket::sendfile(const std::string& path, std::uint64_t offset,
   cfg.chunk_bytes = opts_.file_chunk_bytes;
   cfg.ring_chunks = opts_.file_ring_chunks;
   cfg.payload_quantum = opts_.mss_bytes;
-  cfg.use_uring = opts_.file_uring;
   cfg.throttle_mbps = opts_.file_disk_read_mbps;
   FileSource src{path, offset, length, cfg};
   if (!src.ok()) {
@@ -1567,7 +1543,6 @@ std::uint64_t Socket::sendfile(const std::string& path, std::uint64_t offset,
 std::uint64_t Socket::recvfile(const std::string& path,
                                std::uint64_t length) {
   FileSink::Config cfg;
-  cfg.use_uring = opts_.file_uring;
   cfg.throttle_mbps = opts_.file_disk_write_mbps;
   cfg.queue_max_bytes =
       std::max<std::size_t>(opts_.file_chunk_bytes *
@@ -1706,11 +1681,6 @@ void Socket::close() {
     // port, the channel and the shared receive slab for late diagnostics
     // and slab-ref releases.
     mux_->detach(this);
-    // uring backend: no service thread references us any more, but an async
-    // batch with our done-callback may still be in flight — wait for its
-    // CQEs so on_tx_reaped never fires into a destroyed socket.  state_mu_
-    // is not held here (on_tx_reaped takes it).
-    net_->drain_tx(this);
   }
   if (state_ != ConnState::kBroken) state_ = ConnState::kClosed;
   poke_watchers();

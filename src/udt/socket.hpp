@@ -140,14 +140,6 @@ struct SocketOptions {
   // (min(4, hw_concurrency/2), or the UDTR_MUX_SHARDS env override);
   // 1 reproduces the single-pair datapath; clamped to [1, 16].
   int mux_shards = 0;
-  // Datapath backend for the multiplexer's shard channels (channel.hpp).
-  // kAuto probes io_uring support at first bind and quietly falls back to
-  // the mmsg path (also forced by UDTR_NO_URING); kUring demands it; kMmsg
-  // is today's sendmmsg/recvmmsg path byte-for-byte.  With the uring
-  // backend the shard rx thread drains CQEs instead of recvmmsg and data
-  // batches go out as sendmsg SQEs whose SndBuffer pins are released when
-  // the completion is reaped, not at syscall return.
-  IoBackend io_backend = IoBackend::kAuto;
   // Per-source-IP admission control on the listener's handshake path:
   // token-bucket rate limit per source, cap on concurrent half-open
   // connections per source, and the bound on the tracking table itself
@@ -186,11 +178,11 @@ struct SocketOptions {
   int max_msg_pkts = 1024;
   // --- bulk file transfer (§4.7, Table 2) --------------------------------
   // sendfile/recvfile run a pipelined zero-copy disk datapath
-  // (file_pipeline.hpp): a reader thread pread()s (or io_uring-READs) into
-  // a ring of 64 KB-aligned chunks the wire transmits from directly
-  // (borrowed into SndBuffer, recycled on ACK-release), and a write-behind
-  // thread drains the receive buffer by reference into pwrite()/io_uring
-  // WRITE with ftruncate preallocation.  Disk and wire overlap, and steady
+  // (file_pipeline.hpp): a reader thread pread()s into a ring of 64
+  // KB-aligned chunks the wire transmits from directly (borrowed into
+  // SndBuffer, recycled on ACK-release), and a write-behind thread drains
+  // the receive buffer by reference into gathered pwritev() calls with
+  // ftruncate preallocation.  Disk and wire overlap, and steady
   // state moves payload without copies on either side.
   // Reader-ring chunk size (rounded up to 64 KB multiples, filled in MSS
   // multiples) and ring depth.  chunk_bytes * ring_chunks bounds both the
@@ -202,10 +194,6 @@ struct SocketOptions {
   // (previously a hardcoded 60 s).  recvfile: longest wait with
   // no arriving data before the transfer is abandoned as kRecvTimeout.
   double file_flush_timeout_s = 60.0;
-  // File READ/WRITE through a dedicated io_uring when the kernel has one
-  // (independent of io_backend, which drives the UDP datapath); quietly
-  // falls back to pread/pwrite, and UDTR_NO_URING forces the fallback.
-  bool file_uring = true;
   // Injected disk-rate caps in Mb/s for the reader / writer stages (0 =
   // off).  bench_blast_file (and tests) use these to emulate the Table-2
   // disk bottleneck on hardware whose page cache is far faster than the
@@ -412,16 +400,6 @@ class Socket {
   // the covered range.  state_mu_ held.  Returns the number of
   // datagrams staged and the pacing period via `period_s`.
   std::size_t fill_tx_batch(double& period_s);
-  // Pushes `count` staged datagrams to the wire (lock dropped).  Returns
-  // true when the batch went out asynchronously (uring backend): the pin is
-  // then released by on_tx_reaped when the completion lands, and the caller
-  // must NOT unpin inline.
-  bool send_tx_batch(std::size_t count);
-  // Completion callback for send_gather_async: runs on whichever thread
-  // reaps the batch's last CQE (lock order: the engine's cq_mu, then our
-  // state_mu_).  Unpins the batch's chunk range and wakes overlapped
-  // senders.
-  static void on_tx_reaped(void* ctx, std::uint64_t token);
   // One sender service round: fill, send, advance the pacer.
   // Returns the socket's next deadline — time_point::max() parks the socket
   // until a state change kicks it again.
@@ -564,10 +542,6 @@ class Socket {
   // 0 until the first fill_tx_batch materializes the scratch (lazy: an
   // idle socket never stages a batch, so it never pays for one).
   int tx_max_batch_ = 0;
-  // Pin token of the batch currently staged in tx_gather_.
-  // Written by fill_tx_batch under state_mu_, consumed by the same service
-  // thread: either inline (sync send) or via on_tx_reaped (async).
-  std::uint64_t tx_pin_token_ = 0;
   // True when the sender may have work (set with every wake_sender, cleared
   // by a tx round that found nothing to do).  The multiplexer's heartbeat
   // sweep only re-kicks dirty sockets, so a 100k-socket idle fleet costs

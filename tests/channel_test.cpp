@@ -7,6 +7,9 @@
 #include <thread>
 #include <vector>
 
+#include "udt/buffers.hpp"
+#include "udt/fault.hpp"
+
 namespace udtr::udt {
 namespace {
 
@@ -376,6 +379,177 @@ TEST(UdpChannelBatch, RecvBatchTimesOutCleanly) {
   EXPECT_EQ(r.count, 0u);
   EXPECT_GE(std::chrono::steady_clock::now() - t0,
             std::chrono::milliseconds{40});
+}
+
+// --- rx_round under receive faults -------------------------------------------
+
+// Deterministic payload for datagram i of a run: length and bytes are pure
+// functions of (seed, i).
+std::vector<std::uint8_t> seeded_payload(std::uint64_t seed, std::size_t i) {
+  std::uint64_t x = seed * 0x9E3779B97F4A7C15ull + i * 0xBF58476D1CE4E5B9ull;
+  const auto next = [&x] {
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBull;
+    x ^= x >> 31;
+    return x;
+  };
+  const std::size_t len = 24 + static_cast<std::size_t>(next() % 480);
+  std::vector<std::uint8_t> p(len);
+  for (auto& b : p) b = static_cast<std::uint8_t>(next());
+  return p;
+}
+
+void collect_sink(void* ctx, const UdpChannel::RxDelivery& d) {
+  static_cast<std::vector<std::vector<std::uint8_t>>*>(ctx)->emplace_back(
+      d.data.begin(), d.data.end());
+}
+
+// Order-preserving receive faults (drop / corrupt / truncate) through the
+// slab-backed rx_round: the delivered stream must be byte-identical to what
+// a same-seeded injector makes of the sent stream datagram by datagram —
+// per-datagram fault semantics survive recvmmsg batching and slab arming.
+TEST(UdpChannel, RxRoundFaultedStreamMatchesInjectorReference) {
+  FaultConfig fc;
+  fc.recv.drop_p = 0.2;
+  fc.recv.corrupt_p = 0.1;
+  fc.recv.truncate_p = 0.1;
+  fc.seed = 42;
+  constexpr std::size_t kCount = 240;
+  constexpr std::size_t kBatch = 8;
+
+  UdpChannel tx;
+  UdpChannel rx;
+  ASSERT_TRUE(tx.open(0));
+  ASSERT_TRUE(rx.open(0));
+  rx.set_recv_timeout(std::chrono::milliseconds{10});
+  auto inj = std::make_shared<FaultInjector>(fc);
+  rx.set_fault_injector(inj);
+  UdpChannel::RxState st;
+  st.slab = std::make_shared<RecvSlab>(2048, 64);
+  st.batch = kBatch;
+  st.slot_bytes = 1024;
+
+  std::vector<std::vector<std::uint8_t>> got;
+  const Endpoint dst{0x7F000001u, rx.local_port()};
+  for (std::size_t base = 0; base < kCount; base += kBatch) {
+    std::vector<std::vector<std::uint8_t>> payloads;
+    std::vector<UdpChannel::TxDatagram> dgrams;
+    payloads.reserve(kBatch);  // spans below point into these vectors
+    for (std::size_t i = base; i < base + kBatch; ++i) {
+      payloads.push_back(seeded_payload(fc.seed, i));
+      dgrams.push_back({{payloads.back().data(), payloads.back().size()}, {}, false});
+    }
+    ASSERT_EQ(tx.send_gather(dst, dgrams), dgrams.size());
+    // Drain between small batches so the socket buffer never overflows:
+    // a kernel drop would break the comparison.
+    while (rx.rx_round(st, &collect_sink, &got).status !=
+           RecvStatus::kTimeout) {
+    }
+  }
+
+  FaultInjector ref{fc};
+  std::vector<std::vector<std::uint8_t>> want;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    auto p = seeded_payload(fc.seed, i);
+    if (auto n = ref.filter_recv(p, 0x7F000001u, tx.local_port())) {
+      p.resize(*n);
+      want.push_back(std::move(p));
+    }
+  }
+  ASSERT_GT(want.size(), 100u);  // most of 240 survive a 20% drop
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(inj->stats(FaultDir::kRecv).seen, kCount);
+  EXPECT_EQ(rx.kernel_rx_drops(), 0u);
+}
+
+// TSan target: the offload latches (gso_ok_, gro_enabled_) are written by
+// a first send probing UDP_SEGMENT and read/written by a first receive
+// enabling GRO, concurrently.  The assertion is the absence of a data-race
+// report.
+TEST(UdpChannel, OffloadLatchesRaceFreeAcrossFirstSendAndFirstRecv) {
+  UdpChannel a;
+  UdpChannel b;
+  ASSERT_TRUE(a.open(0));
+  ASSERT_TRUE(b.open(0));
+  a.set_recv_timeout(std::chrono::milliseconds{5});
+  b.set_recv_timeout(std::chrono::milliseconds{5});
+  const Endpoint to_b{0x7F000001u, b.local_port()};
+
+  std::thread sender([&] {
+    std::vector<std::uint8_t> payload(256, 0xAB);
+    std::vector<UdpChannel::TxDatagram> run(
+        4, UdpChannel::TxDatagram{{payload.data(), payload.size()}, {}, false});
+    for (int i = 0; i < 50; ++i) {
+      (void)a.send_gather(to_b, run, true);  // first call probes GSO
+      (void)a.gso_active();
+    }
+  });
+  std::thread receiver([&] {
+    (void)b.enable_gro();  // flips gro_enabled_ while sends are in flight
+    std::vector<std::uint8_t> buf(4096);
+    Endpoint src;
+    for (int i = 0; i < 50; ++i) {
+      (void)b.recv_from(src, buf);
+      (void)b.gro_enabled();
+    }
+  });
+  sender.join();
+  receiver.join();
+}
+
+// --- kernel receive-queue drops (SO_RXQ_OVFL) --------------------------------
+
+// Drains everything queued on `ch` through recv_batch; returns the count.
+std::size_t drain(UdpChannel& ch) {
+  std::vector<std::uint8_t> arena;
+  auto slots = make_slots(arena, 16, 2048);
+  std::size_t n = 0;
+  for (;;) {
+    const auto r = ch.recv_batch(slots);
+    if (r.status != RecvStatus::kDatagram) return n;
+    n += r.count;
+  }
+}
+
+TEST(UdpChannel, KernelRxDropsCountsReceiveQueueOverflow) {
+  UdpChannel tx;
+  UdpChannel rx;
+  ASSERT_TRUE(tx.open(0));
+  ASSERT_TRUE(rx.open(0));
+  rx.set_recv_timeout(std::chrono::milliseconds{20});
+  ASSERT_TRUE(rx.set_buffer_sizes(4096, 4096));  // kernel clamps to its min
+  EXPECT_GT(rx.rcvbuf_bytes(), 0);
+  EXPECT_LE(rx.rcvbuf_bytes(), 4096);
+  const Endpoint dst{0x7F000001u, rx.local_port()};
+
+  // A burst into a queue nobody reads: loopback delivers synchronously, so
+  // when send_batch returns the overflow has already been dropped.
+  const std::vector<std::uint8_t> payload(1000, 0x5A);
+  constexpr std::size_t kBurst = 64;
+  const std::vector<std::span<const std::uint8_t>> burst(kBurst, payload);
+  ASSERT_EQ(tx.send_batch(dst, burst), kBurst);
+  const std::size_t queued = drain(rx);
+  ASSERT_GT(queued, 0u);
+  ASSERT_LT(queued, kBurst);
+  // Everything queued before the overflow was stamped with the count at
+  // its enqueue time; the first datagram queued after it carries the drops.
+  ASSERT_EQ(tx.send_to(dst, payload), 1000);
+  ASSERT_EQ(drain(rx), 1u);
+  EXPECT_EQ(rx.kernel_rx_drops(), kBurst - queued);
+}
+
+TEST(UdpChannel, KernelRxDropsStaysZeroOnACleanExchange) {
+  UdpChannel tx;
+  UdpChannel rx;
+  ASSERT_TRUE(tx.open(0));
+  ASSERT_TRUE(rx.open(0));
+  rx.set_recv_timeout(std::chrono::milliseconds{20});
+  const Endpoint dst{0x7F000001u, rx.local_port()};
+  const std::vector<std::uint8_t> payload(1000, 0x5A);
+  const std::vector<std::span<const std::uint8_t>> burst(8, payload);
+  ASSERT_EQ(tx.send_batch(dst, burst), 8u);
+  EXPECT_EQ(drain(rx), 8u);
+  EXPECT_EQ(rx.kernel_rx_drops(), 0u);
 }
 
 TEST(UdpChannel, MoveTransfersOwnership) {

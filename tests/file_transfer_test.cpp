@@ -1,7 +1,7 @@
 // Blast-mode file transfer: the pipelined zero-copy disk datapath
 // (FileSource reader ring -> borrowed send buffer; RcvBuffer::take_stream ->
-// FileSink write-behind), byte-exact under combined faults on both
-// datapath backends, the offset/length edge cases,
+// FileSink write-behind), byte-exact under combined faults, the
+// offset/length edge cases,
 // ring-exhaustion backpressure, write-behind ordering under reorder, and the
 // recvfile error contract (timeout vs truncation vs disk failure).
 #include <gtest/gtest.h>
@@ -21,13 +21,6 @@
 
 namespace udtr::udt {
 namespace {
-
-#define SKIP_WITHOUT_URING()                   \
-  do {                                         \
-    if (!UdpChannel::uring_supported()) {      \
-      GTEST_SKIP() << "SKIPPED (no io_uring)"; \
-    }                                          \
-  } while (0)
 
 std::vector<std::uint8_t> make_payload(std::size_t n, std::uint64_t seed) {
   std::vector<std::uint8_t> v(n);
@@ -119,7 +112,7 @@ SocketOptions faulted_client(double bandwidth_mbps = 150.0) {
   return client;
 }
 
-// --- byte-exact round trips, both backends ---------------------------------
+// --- byte-exact round trips ------------------------------------------------
 
 TEST(FileTransfer, PipelinedRoundTripExactUnderFaults) {
   Pair p = make_pair_opts({}, faulted_client());
@@ -129,21 +122,6 @@ TEST(FileTransfer, PipelinedRoundTripExactUnderFaults) {
   // partial-tail copy and the last chunk is short.
   const auto payload = make_payload((4 << 20) + 12345, 1);
   EXPECT_EQ(round_trip(p, "pipe_faults", payload), payload);
-  p.client->close();
-  p.server->close();
-}
-
-TEST(FileTransfer, PipelinedRoundTripExactUnderFaultsUringBackend) {
-  SKIP_WITHOUT_URING();
-  SocketOptions client = faulted_client();
-  client.io_backend = IoBackend::kUring;
-  SocketOptions server;
-  server.io_backend = IoBackend::kUring;
-  Pair p = make_pair_opts(server, client);
-  ASSERT_NE(p.client, nullptr);
-  ASSERT_NE(p.server, nullptr);
-  const auto payload = make_payload((4 << 20) + 777, 2);
-  EXPECT_EQ(round_trip(p, "pipe_uring", payload), payload);
   p.client->close();
   p.server->close();
 }

@@ -23,13 +23,6 @@
 namespace udtr::udt {
 namespace {
 
-#define SKIP_WITHOUT_URING()                   \
-  do {                                         \
-    if (!UdpChannel::uring_supported()) {      \
-      GTEST_SKIP() << "SKIPPED (no io_uring)"; \
-    }                                          \
-  } while (0)
-
 // Deterministic message payload: [0:8) id, [8:16) size, then a pattern a
 // verifier can regenerate from the id alone.
 std::vector<std::uint8_t> make_msg(std::uint64_t id, std::size_t size) {
@@ -336,13 +329,6 @@ TEST(MessageMode, ReliableRoundTripUnderDropDupReorder) {
 TEST(MessageMode, ReliableRoundTripUnderFaultsGsoOff) {
   SocketOptions opts;
   opts.gso = false;
-  run_faulted_roundtrip(opts, 80);
-}
-
-TEST(MessageMode, ReliableRoundTripUnderFaultsUringBackend) {
-  SKIP_WITHOUT_URING();
-  SocketOptions opts;
-  opts.io_backend = IoBackend::kUring;
   run_faulted_roundtrip(opts, 80);
 }
 

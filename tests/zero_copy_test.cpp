@@ -46,7 +46,7 @@ TEST(SndBufferPin, AckDuringPinParksStorageUntilUnpin) {
   // Capture the spans a sender syscall would hold as iovecs.
   const auto span0 = *sb.chunk(0);
   const auto span1 = *sb.chunk(1);
-  const std::uint64_t tok = sb.pin(0, 3);
+  sb.pin(0, 3);
 
   // An ACK lands mid-syscall: the chunks leave the ring, but their storage
   // must survive until unpin() — the kernel may still be reading it.
@@ -59,39 +59,45 @@ TEST(SndBufferPin, AckDuringPinParksStorageUntilUnpin) {
 
   EXPECT_TRUE(sb.pinned_below(3));
   EXPECT_FALSE(sb.pinned_below(0));
-  EXPECT_TRUE(sb.unpin(tok));
+  EXPECT_TRUE(sb.unpin());
   EXPECT_FALSE(sb.pinned_below(3));
-  EXPECT_FALSE(sb.unpin(tok));  // idempotent: the token was consumed
+  EXPECT_FALSE(sb.unpin());  // idempotent: nothing left pinned
 }
 
-TEST(SndBufferPin, OverlappingPinsParkUntilLastCoveringPinDrops) {
-  // The io_uring datapath keeps one batch pinned until its CQE while the
-  // next pacing round pins the following range: storage parked under the
-  // first pin must survive until every pin that could reference it is gone.
+TEST(SndBufferPin, UnpinRecyclesStorageParkedByAck) {
+  // Parked storage must stay out of the free list while the pin holds it,
+  // and return to it (so add() reuses it instead of allocating) on unpin.
   SndBuffer sb{100, 10000};
-  ASSERT_EQ(sb.add(pattern(400, 0xCD)), 400u);
-  const auto span0 = *sb.chunk(0);
-  const std::uint64_t t1 = sb.pin(0, 2);   // batch 1 in flight
-  const std::uint64_t t2 = sb.pin(2, 4);   // batch 2 pinned before reap
-  EXPECT_EQ(sb.active_pins(), 2u);
-  sb.ack_up_to(2);  // ACK covers batch 1 while both pins are active
-  // Chunk 0's bytes must still be readable: batch 1's iovecs are in flight.
-  EXPECT_EQ(span0[0], 0xCD);
-  EXPECT_TRUE(sb.pinned_below(2));
-  EXPECT_TRUE(sb.unpin(t2));  // out-of-order release of the later pin
-  EXPECT_TRUE(sb.pinned_below(2));  // batch 1 still holds chunks 0-1
-  EXPECT_TRUE(sb.unpin(t1));
-  EXPECT_FALSE(sb.pinned_below(4));
-  EXPECT_EQ(sb.active_pins(), 0u);
+  ASSERT_EQ(sb.add(pattern(200, 0xCD)), 200u);
+  const std::uint8_t* parked0 = sb.chunk(0)->data();
+  const std::uint8_t* parked1 = sb.chunk(1)->data();
+  sb.pin(0, 2);
+  sb.ack_up_to(2);  // both chunks parked under the pin
+  ASSERT_EQ(sb.add(pattern(100, 0x11)), 100u);
+  const std::uint8_t* fresh = sb.chunk(2)->data();
+  EXPECT_NE(fresh, parked0);
+  EXPECT_NE(fresh, parked1);
+  EXPECT_EQ(parked0[0], 0xCD);  // still readable by the in-flight syscall
+
+  EXPECT_TRUE(sb.unpin());
+  // Same-size allocations made now would land on the parked blocks had
+  // unpin() freed them instead of recycling them.
+  const auto decoy0 = pattern(100, 0x33);
+  const auto decoy1 = pattern(100, 0x44);
+  ASSERT_EQ(sb.add(pattern(200, 0x22)), 200u);
+  const std::uint8_t* reused3 = sb.chunk(3)->data();
+  const std::uint8_t* reused4 = sb.chunk(4)->data();
+  EXPECT_TRUE((reused3 == parked0 && reused4 == parked1) ||
+              (reused3 == parked1 && reused4 == parked0));
 }
 
 TEST(SndBufferPin, AckOutsidePinRangeNeedsNoParking) {
   SndBuffer sb{100, 10000};
   ASSERT_EQ(sb.add(pattern(300, 0xAB)), 300u);
-  const std::uint64_t tok = sb.pin(2, 3);  // the syscall only covers chunk 2
+  sb.pin(2, 3);        // the syscall only covers chunk 2
   sb.ack_up_to(2);     // chunks 0-1 are outside the pin: plain recycle
   EXPECT_TRUE(sb.pinned_below(3));
-  EXPECT_TRUE(sb.unpin(tok));
+  EXPECT_TRUE(sb.unpin());
   EXPECT_EQ(sb.chunk(2)->size(), 100u);
 }
 
